@@ -2,8 +2,9 @@
 
 Collections are newline-delimited JSON files inside a store directory, one
 canonically serialized document per line. A single writer per store is
-enforced through an advisory lock file; readers open without locking and see
-whatever was flushed at open time. Aggregation pipelines use the familiar
+enforced through an advisory lock file; readers open without locking. A
+collection is parsed when a handle first touches it, and the handle sees what
+was flushed by then plus its own writes. Aggregation pipelines use the familiar
 list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
 explicitly documented subset of operators. Large binary model artifacts are
 chunked into a companion collection with a manifest and checksum.

@@ -50,6 +50,10 @@ def _no_duplicate_keys(pairs):
     return out
 
 
+# One decoder for every line: json.loads with a hook builds a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_no_duplicate_keys)
+
+
 def parse_document_line(line: str, path: str = "<memory>", line_no: int = 0) -> dict:
     """Parse one NDJSON line into a document dict.
 
@@ -57,7 +61,7 @@ def parse_document_line(line: str, path: str = "<memory>", line_no: int = 0) -> 
     object, non-object top level, or a non-string ``_id``.
     """
     try:
-        doc = json.loads(line, object_pairs_hook=_no_duplicate_keys)
+        doc = _DECODER.decode(line)
     except ValueError as exc:
         raise CorruptCollection(path, line_no, str(exc)) from None
     if not isinstance(doc, dict):

@@ -4,16 +4,25 @@ Layout: a store is a directory; each collection ``name`` lives in
 ``<store>/name.ndjson`` with one canonical document per line in insertion
 order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
 
+Collections load lazily: opening a store takes the lock (writers) and lists
+the directory, nothing more. A collection's file is parsed the first time
+the handle touches that collection (``get``, ``count``, ``aggregate``,
+``find_all``, ``create_index`` or ``insert_many``), so a task pays only for
+what it reads, and a corrupt file raises CorruptCollection at that touch.
+
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
 writer handles may coexist (e.g. parallel pipeline tasks), their file
-appends serialized through a shared per-store mutex. A handle's in-memory
-view is the flushed state at open time plus its own writes; reopen to see
-other handles' output.
+appends serialized through a shared per-store mutex; a writer handle also
+parses under that mutex, so it never reads half of another handle's batch.
+A handle's view of each collection is that collection's flushed state at
+the handle's first touch of it, plus the handle's own writes; reopen to
+see what other handles write after that touch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import threading
@@ -158,14 +167,12 @@ class _Collection:
     def __init__(self, name: str):
         self.name = name
         self.docs: list[dict] = []
-        self.ids: set[str] = set()
         self.by_id: dict[str, int] = {}
         self.indexes: dict[str, _HashIndex] = {}
 
     def append(self, doc: dict):
         position = len(self.docs)
         self.docs.append(doc)
-        self.ids.add(doc["_id"])
         self.by_id[doc["_id"]] = position
         for index in self.indexes.values():
             index.add(position, doc)
@@ -180,17 +187,17 @@ class DocumentStore:
         self._closed = False
         self._state_lock = threading.RLock()
         self._append_mutex = None
+        self._collections: dict[str, _Collection] = {}
         os.makedirs(self.path, exist_ok=True)
+        self._names_at_open = {
+            entry[: -len(".ndjson")]
+            for entry in os.listdir(self.path)
+            if entry.endswith(".ndjson")
+        }
         if not read_only:
             self._append_mutex = _REGISTRY.acquire(
                 self.path, os.path.join(self.path, ".lock"), wait_for_lock_s
             )
-        try:
-            self._collections = self._load_all()
-        except Exception:
-            if not read_only:
-                _REGISTRY.release(self.path, os.path.join(self.path, ".lock"))
-            raise
 
     # ------------------------------------------------------------ lifecycle
 
@@ -199,7 +206,7 @@ class DocumentStore:
             if self._closed:
                 return
             self._closed = True
-        if not self.read_only:
+        if self._append_mutex is not None:
             _REGISTRY.release(self.path, os.path.join(self.path, ".lock"))
 
     def __enter__(self):
@@ -216,19 +223,28 @@ class DocumentStore:
 
     # -------------------------------------------------------------- loading
 
-    def _load_all(self) -> dict[str, _Collection]:
-        collections = {}
-        for entry in sorted(os.listdir(self.path)):
-            if not entry.endswith(".ndjson"):
-                continue
-            name = entry[: -len(".ndjson")]
-            collections[name] = self._load_collection(name)
-        return collections
+    def _touch(self, name: str) -> _Collection:
+        """This handle's view of one collection, parsed on first touch.
 
-    def _load_collection(self, name: str) -> _Collection:
+        Call with ``_state_lock`` held. A collection whose file does not
+        exist yet starts empty.
+        """
+        coll = self._collections.get(name)
+        if coll is None:
+            file_path = self._file_for(name)
+            with self._append_mutex or contextlib.nullcontext():
+                coll = self._load_collection(name, file_path)
+            self._collections[name] = coll
+        return coll
+
+    @staticmethod
+    def _load_collection(name: str, file_path: str) -> _Collection:
         coll = _Collection(name)
-        file_path = self._file_for(name)
-        with open(file_path, encoding="utf-8") as fh:
+        try:
+            fh = open(file_path, encoding="utf-8")
+        except FileNotFoundError:
+            return coll
+        with fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -236,7 +252,7 @@ class DocumentStore:
                 doc = parse_document_line(line, file_path, line_no)
                 if "_id" not in doc:
                     raise CorruptCollection(file_path, line_no, "document lacks _id")
-                if doc["_id"] in coll.ids:
+                if doc["_id"] in coll.by_id:
                     raise CorruptCollection(
                         file_path, line_no, f"duplicate _id {doc['_id']!r}"
                     )
@@ -251,13 +267,14 @@ class DocumentStore:
     # ------------------------------------------------------------------ api
 
     def collection_names(self) -> list[str]:
+        """Collections on disk at open, plus any this handle has seen filled."""
         with self._state_lock:
-            return sorted(self._collections)
+            filled = {name for name, coll in self._collections.items() if coll.docs}
+            return sorted(self._names_at_open | filled)
 
     def count(self, collection: str) -> int:
         with self._state_lock:
-            coll = self._collections.get(collection)
-            return len(coll.docs) if coll else 0
+            return len(self._touch(collection).docs)
 
     def insert_many(self, collection: str, docs: list[dict]) -> list[str]:
         """Insert a batch atomically; returns the assigned ids.
@@ -271,9 +288,8 @@ class DocumentStore:
             raise ReadOnlyStore("insert_many on a read-only handle")
         prepared = []
         with self._state_lock:
-            coll = self._collections.get(collection)
-            existing = set(coll.ids) if coll else set()
-            self._file_for(collection)
+            coll = self._touch(collection)
+            batch_ids = set()
             for doc in docs:
                 if not isinstance(doc, dict):
                     raise TypeError("documents must be JSON objects")
@@ -282,9 +298,9 @@ class DocumentStore:
                     doc["_id"] = uuid.uuid4().hex
                 if not isinstance(doc["_id"], str):
                     raise TypeError("_id must be a string")
-                if doc["_id"] in existing:
+                if doc["_id"] in coll.by_id or doc["_id"] in batch_ids:
                     raise DuplicateId(f"{collection}: _id {doc['_id']!r} already present")
-                existing.add(doc["_id"])
+                batch_ids.add(doc["_id"])
                 prepared.append((doc, canonical_dumps(doc)))
 
             payload = "".join(line + "\n" for _, line in prepared)
@@ -293,17 +309,14 @@ class DocumentStore:
                     fh.write(payload)
                     fh.flush()
                     os.fsync(fh.fileno())
-            if coll is None:
-                coll = _Collection(collection)
-                self._collections[collection] = coll
             for doc, _ in prepared:
                 coll.append(doc)
         return [doc["_id"] for doc, _ in prepared]
 
     def get(self, collection: str, doc_id: str) -> dict:
         with self._state_lock:
-            coll = self._collections.get(collection)
-            if coll is None or doc_id not in coll.by_id:
+            coll = self._touch(collection)
+            if doc_id not in coll.by_id:
                 raise NotFound(f"{collection}/{doc_id}")
             return dict(coll.docs[coll.by_id[doc_id]])
 
@@ -314,10 +327,7 @@ class DocumentStore:
         canonical persistence) and are kept consistent by every insert.
         """
         with self._state_lock:
-            coll = self._collections.get(collection)
-            if coll is None:
-                coll = _Collection(collection)
-                self._collections[collection] = coll
+            coll = self._touch(collection)
             if field_path in coll.indexes:
                 return
             index = _HashIndex(field_path)
@@ -342,9 +352,9 @@ class DocumentStore:
         if not isinstance(pipeline, AggregationPipeline):
             pipeline = parse_pipeline(pipeline)
         with self._state_lock:
-            coll = self._collections.get(collection)
-            docs = list(coll.docs) if coll else []
-            if coll and pipeline.stages:
+            coll = self._touch(collection)
+            docs = list(coll.docs)
+            if pipeline.stages:
                 docs = self._narrow_by_index(coll, pipeline, docs)
         return pipeline.run(docs)
 

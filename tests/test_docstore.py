@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -14,6 +16,7 @@ from coldflow.docstore import (
     ReadOnlyStore,
     canonical_dumps,
     open_store,
+    parse_document_line,
 )
 from coldflow.docstore.blobs import ChecksumMismatch
 
@@ -134,8 +137,9 @@ def test_corrupt_line_reported_with_position(tmp_path):
         store.insert_many("t", [{"_id": "ok"}])
     with open(tmp_path / "s" / "t.ndjson", "a") as fh:
         fh.write("{not json\n")
-    with pytest.raises(CorruptCollection) as err:
-        open_store(tmp_path / "s", read_only=True)
+    with open_store(tmp_path / "s", read_only=True) as store:
+        with pytest.raises(CorruptCollection) as err:
+            store.find_all("t")
     assert err.value.line_no == 2
 
 
@@ -143,8 +147,168 @@ def test_duplicate_key_within_object_is_corrupt(tmp_path):
     store_dir = tmp_path / "s"
     store_dir.mkdir()
     (store_dir / "t.ndjson").write_text('{"_id":"a","k":1,"k":2}\n')
-    with pytest.raises(CorruptCollection):
-        open_store(store_dir, read_only=True)
+    with open_store(store_dir, read_only=True) as store:
+        with pytest.raises(CorruptCollection):
+            store.find_all("t")
+
+
+def test_untouched_corrupt_collection_is_never_parsed(tmp_path):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("a", [{"_id": "x", "v": 1}])
+        store.insert_many("b", [{"_id": "y"}])
+    with open(tmp_path / "s" / "b.ndjson", "a") as fh:
+        fh.write("{not json\n")
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.collection_names() == ["a", "b"]
+        assert store.count("a") == 1
+        assert store.get("a", "x") == {"_id": "x", "v": 1}
+        assert store.aggregate("a", [{"$match": {"v": 1}}]) == [{"_id": "x", "v": 1}]
+        with pytest.raises(CorruptCollection):
+            store.count("b")
+
+
+def test_lazy_aggregates_equal_eager_ones(tmp_path):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": str(i), "g": i % 7, "v": i * 0.5} for i in range(300)])
+        store.insert_many("u", [{"_id": str(i), "g": i % 3} for i in range(50)])
+    pipelines = [
+        [],
+        [{"$match": {"g": 3}}],
+        [{"$match": {"v": {"$gte": 40}}}, {"$sort": {"v": -1}}, {"$limit": 9}],
+        [{"$group": {"_id": "$g", "n": {"$sum": 1}, "top": {"$max": "$v"}}}],
+        [{"$match": {"g": 1}}, {"$project": {"g": 1}}],
+    ]
+    with open_store(tmp_path / "s", read_only=True) as eager:
+        for name in ("t", "u", "missing"):
+            eager.count(name)
+        for name in ("t", "u", "missing"):
+            for pipeline in pipelines:
+                with open_store(tmp_path / "s", read_only=True) as lazy:
+                    assert lazy.aggregate(name, pipeline) == eager.aggregate(name, pipeline)
+
+
+def test_first_touch_sees_other_writer_handles_batches(tmp_path):
+    a = open_store(tmp_path / "s")
+    b = open_store(tmp_path / "s")
+    b.insert_many("c", [{"_id": "b1"}, {"_id": "b2"}])
+    assert a.count("c") == 2
+    with pytest.raises(DuplicateId):
+        a.insert_many("c", [{"_id": "a1"}, {"_id": "b2"}])
+    a.insert_many("c", [{"_id": "a1"}])
+    a.close()
+    b.close()
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert [d["_id"] for d in store.find_all("c")] == ["b1", "b2", "a1"]
+
+
+def test_first_touch_during_appends_sees_whole_batches(tmp_path):
+    # Writer handles in one process append 64-doc batches while fresh
+    # writer handles first-touch the same collection: every view must hold
+    # whole batches only, and every touch must parse cleanly.
+    batch, waves, writers, readers = 64, 12, 3, 3
+    pad = "x" * 300
+    views, errors = [], []
+
+    def write(w):
+        try:
+            with open_store(tmp_path / "s", wait_for_lock_s=10.0) as store:
+                for wave in range(waves):
+                    store.insert_many(
+                        "c", [{"_id": f"{w}:{wave}:{i}", "pad": pad} for i in range(batch)]
+                    )
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    def read():
+        try:
+            for _ in range(waves):
+                with open_store(tmp_path / "s", wait_for_lock_s=10.0) as store:
+                    views.append(store.count("c"))
+        except Exception as exc:
+            errors.append(exc)
+
+    anchor = open_store(tmp_path / "s")  # keeps the lock in this process
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        threads += [threading.Thread(target=read) for _ in range(readers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        anchor.close()
+    assert errors == []
+    assert len(views) == readers * waves
+    assert all(n % batch == 0 for n in views)
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.count("c") == batch * waves * writers
+
+
+def test_first_touch_waits_for_an_append_in_flight(tmp_path, monkeypatch):
+    a = open_store(tmp_path / "s")
+    b = open_store(tmp_path / "s")
+    b.insert_many("c", [{"_id": "b0"}])
+    in_append, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
+
+    def held_fsync(fd):
+        in_append.set()
+        assert release.wait(timeout=30)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", held_fsync)
+    seen = []
+    writer = threading.Thread(target=b.insert_many, args=("c", [{"_id": "b1"}]))
+    reader = threading.Thread(target=lambda: seen.append(a.count("c")))
+    writer.start()
+    try:
+        assert in_append.wait(timeout=30)
+        reader.start()
+        reader.join(timeout=0.3)
+        # B holds the append mutex, so A's first touch of c must wait for it.
+        assert reader.is_alive()
+    finally:
+        release.set()
+        writer.join(timeout=30)
+    reader.join(timeout=30)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert seen == [2]
+    a.close()
+    b.close()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{not json",
+        '{"_id":"a","k":1,"k":2}',
+        '{"_id":"a","m":{"k":1,"k":2}}',
+        "[1,2]",
+        '{"_id":7}',
+    ],
+)
+def test_parse_document_line_rejects(line):
+    with pytest.raises(CorruptCollection) as err:
+        parse_document_line(line, "t.ndjson", 5)
+    assert (err.value.path, err.value.line_no) == ("t.ndjson", 5)
+
+
+def test_rejected_duplicates_append_nothing(tmp_path):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": "keep"}])
+        before = (tmp_path / "s" / "t.ndjson").read_bytes()
+        with pytest.raises(DuplicateId):
+            store.insert_many("t", [{"_id": "new"}, {"_id": "keep"}])
+        with pytest.raises(DuplicateId):
+            store.insert_many("t", [{"_id": "n1"}, {"_id": "n2"}, {"_id": "n1"}])
+        assert (tmp_path / "s" / "t.ndjson").read_bytes() == before
+        assert store.count("t") == 1
+        store.insert_many("t", [{"_id": "new"}])
+        assert store.count("t") == 2
 
 
 def test_index_matches_full_scan(tmp_path):
