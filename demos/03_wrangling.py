@@ -2,10 +2,10 @@
 From raw telemetry to training examples
 =======================================
 
-Real maintenance data is dirty: duplicated rows, dead columns, outliers,
-inconsistent labels. The wrangler cleans a record stream, then cuts
-supervised examples: a fixed window of features before each defrost and
-the defrost's duration as the target.
+The wrangler turns each fridge's record stream into one array block
+(timestamps, defrost flags and a feature matrix), then cuts supervised
+examples from it: a fixed window of features before each defrost and the
+defrost's duration as the target.
 """
 
 from coldflow.fridgesim import SimConfig, simulate_fleet
@@ -13,18 +13,10 @@ from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
 from coldflow.wrangler import (
     extract_defrost_examples,
+    fridge_series,
     shift_for_lead_time,
-    sigma_clip,
     split_dataset,
-    unify_categoricals,
 )
-
-# Cleaning utilities work on plain values, so they are easy to show alone.
-print(unify_categoricals(["Yes", "yes", " y", "NO"],
-                         {"yes": "yes", "y": "yes", "no": "no"}))
-readings = [2.9, 3.1, 3.0, 2.8, 3.2, 3.0, 2.9, 3.1, 3.0, 2.95, 3.05, 40.0]
-clipped = sigma_clip(readings, k=3.0)
-print(f"kept {len(clipped.kept)} of {len(readings)}, removed {clipped.removed}")
 
 # Simulate a month for two fridges and derive per-record features: first
 # differences and distance-to-setpoint channels join the raw temperatures.
@@ -32,23 +24,23 @@ config = SimConfig(n_fridges=2, days=30.0, seed=3)
 examples = []
 for spec, records in simulate_fleet(config):
     records = derive_features(records, midband_setpoints(spec))
-    found, rejected = extract_defrost_examples(
-        records, window_len=32, threshold=8.0,
-        feature_names=("air_on_temperature", "air_on_diff"),
-    )
-    print(f"{spec.fridge_id}: {len(found)} examples, {len(rejected)} rejected")
+    series = fridge_series(records, ("air_on_temperature", "air_on_diff"))[spec.fridge_id]
+    print(f"{spec.fridge_id}: block of {series.features.shape[0]} readings x "
+          f"{series.features.shape[1]} features")
+    found, rejected = extract_defrost_examples(series, window_len=32, threshold=8.0)
+    print(f"  {len(found)} examples, {len(rejected)} rejected")
 
     # A lead-time variant answers "what will the duration be, decided two
     # minutes ahead": same target, window shifted 120 s earlier.
-    ahead = shift_for_lead_time(records, found[0], 120.0)
+    ahead = shift_for_lead_time(series, found[0], 120.0)
     print(f"  lead variant's window ends "
           f"{found[0].window_end_ts - ahead.window_end_ts:.0f}s earlier, "
           f"same target")
     examples.extend(found)
 
-# Splits fix a seeded test set and leave a train pool; validation is
-# resampled from the pool each round, Monte Carlo style.
+# The split fixes a seeded test set; training draws its validation examples
+# from the rest.
 ids = sorted(ex.event_id for ex in examples)
-split = split_dataset(ids, test_fraction=0.1, val_fraction=0.1, seed=3)
-print(f"train pool={len(split.train_pool)} val size={split.val_size} "
-      f"test={len(split.test)}")
+test = split_dataset(ids, test_fraction=0.1, val_fraction=0.1, seed=3)
+print(f"{len(ids)} events: {len(test)} held out for test, "
+      f"{len(ids) - len(test)} for training")

@@ -13,7 +13,7 @@ from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.neural import TrainConfig, predict_values, train
 from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
-from coldflow.wrangler import extract_defrost_examples, split_dataset
+from coldflow.wrangler import extract_defrost_examples, fridge_series, split_dataset
 
 # Raw temperatures plus the derived channels: the first difference carries
 # the warming rate and the setpoint distances identify the fridge.
@@ -24,14 +24,13 @@ FEATURES = ("air_on_temperature", "air_off_temperature", "air_on_diff",
 examples = []
 for spec, records in simulate_fleet(SimConfig(n_fridges=6, days=10.0, seed=5)):
     records = derive_features(records, midband_setpoints(spec))
-    found, _ = extract_defrost_examples(
-        records, window_len=24, threshold=8.0, feature_names=FEATURES)
+    series = fridge_series(records, FEATURES)[spec.fridge_id]
+    found, _ = extract_defrost_examples(series, window_len=24, threshold=8.0)
     examples.extend(found)
 print(f"{len(examples)} examples of {examples[0].observed.shape}")
 
 # Hold out a seeded test set by defrost event.
-split = split_dataset(sorted(e.event_id for e in examples), 0.15, 0.15, 5)
-test_ids = set(split.test)
+test_ids = set(split_dataset(sorted(e.event_id for e in examples), 0.15, 0.15, 5))
 train_ex = [e for e in examples if e.event_id not in test_ids]
 test_ex = [e for e in examples if e.event_id in test_ids]
 

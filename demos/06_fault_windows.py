@@ -24,7 +24,7 @@ from coldflow.fridgesim import (
 from coldflow.neural import TrainConfig, predict_labels, train
 from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
-from coldflow.wrangler import Workorder, balance_classes, merge_faults
+from coldflow.wrangler import Workorder, balance_classes, fridge_series, merge_faults
 
 config = SimConfig(n_fridges=150, days=4.0, seed=21)
 specs = fleet_specs(config)
@@ -36,15 +36,15 @@ records = []
 for spec, recs in simulate_fleet(config, fault_plans=plans):
     records.extend(derive_features(recs, midband_setpoints(spec)))
 
+series = fridge_series(records, ("air_on_temperature", "air_off_temperature",
+                                 "air_on_diff", "targetTemp_on", "targetTemp_off"))
+
 # The join parses free-text orders with the configured patterns, cuts a
 # positive window 24h before each matched fault, and samples negatives
 # far from any fault on the same fridge.
 examples, stats = merge_faults(
-    records, [Workorder(text, ts) for text, ts in orders],
-    horizon_seconds=86400.0, window_len=64, patterns=WORKORDER_PATTERNS,
-    feature_names=("air_on_temperature", "air_off_temperature", "air_on_diff",
-                   "targetTemp_on", "targetTemp_off"),
-    seed=21,
+    series, [Workorder(text, ts) for text, ts in orders],
+    horizon_seconds=86400.0, window_len=64, patterns=WORKORDER_PATTERNS, seed=21,
 )
 examples = balance_classes(examples, seed=21)
 print(f"{stats.positives} positives, {stats.negatives} negatives, "

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
-STAGE_NAMES = ("wrangle", "serve", "learn", "infer")
-
 
 @dataclass(frozen=True)
 class ScriptSpec:

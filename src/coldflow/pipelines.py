@@ -9,8 +9,11 @@ re-running a stage is harmless.
 
 Nothing in this module reads the wall clock. Model ids hash their content,
 report timestamps come from the data's own time axis, and every random
-draw is seeded from the config, so two runs from the same config produce
-byte-identical stores.
+draw is seeded from the config, so two runs from the same config write the
+same documents. Every collection file is byte-identical between the two
+runs except ``models``, ``model_index`` and ``model_chunks``: at a
+``pool_width`` above 1 the learn tasks append to those in the order their
+trainings finish, so those files hold the same lines in either order.
 
 Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
@@ -41,6 +44,7 @@ from coldflow.wrangler import (
     Workorder,
     balance_classes,
     extract_defrost_examples,
+    fridge_series,
     merge_faults,
     shift_for_lead_time,
     split_dataset,
@@ -147,12 +151,11 @@ def wrangle_dsr(store, config: dict) -> dict:
     shift_failures = 0
     per_event_examples: dict[str, list] = {}
     for fid in fridge_ids(store):
-        records = telemetry_for(store, fid)
+        series = fridge_series(telemetry_for(store, fid), w["features"])[fid]
         examples, fridge_rejects = extract_defrost_examples(
-            records,
+            series,
             window_len=w["window_len"],
             threshold=w["threshold_temp"],
-            feature_names=tuple(w["features"]),
             cadence_s=w["cadence_s"],
             gap_factor=w["gap_factor"],
             target_band_s=tuple(w["target_band_s"]),
@@ -163,7 +166,7 @@ def wrangle_dsr(store, config: dict) -> dict:
             for lead in w["leads"]:
                 try:
                     variants.append(
-                        shift_for_lead_time(records, example, lead,
+                        shift_for_lead_time(series, example, lead,
                                             cadence_s=w["cadence_s"],
                                             gap_factor=w["gap_factor"])
                     )
@@ -175,9 +178,8 @@ def wrangle_dsr(store, config: dict) -> dict:
 
     if not events:
         raise PipelineError("wrangle_dsr produced no usable defrost events")
-    split = split_dataset(sorted(events), w["test_fraction"], w["val_fraction"],
-                          config["seed"])
-    test_events = set(split.test)
+    test_events = set(split_dataset(sorted(events), w["test_fraction"],
+                                    w["val_fraction"], config["seed"]))
     docs = []
     for event_id in sorted(per_event_examples):
         tag = "test" if event_id in test_events else "train"
@@ -218,20 +220,19 @@ def wrangle_faults(store, config: dict) -> dict:
     w = config["wrangle"]
     if f is None:
         raise PipelineError("config has no faults section")
-    records = []
+    series = {}
     for fid in fridge_ids(store):
-        records.extend(telemetry_for(store, fid))
+        series.update(fridge_series(telemetry_for(store, fid), w["features"]))
     orders = [
         Workorder(doc["raw_text"], doc["timestamp"])
         for doc in store.find_all(WORKORDERS)
     ]
     examples, stats = merge_faults(
-        records,
+        series,
         orders,
         horizon_seconds=f["horizon_s"],
         window_len=f["window_len"],
         patterns=f["patterns"],
-        feature_names=tuple(w["features"]),
         negatives_per_positive=f["negatives_per_positive"],
         seed=config["seed"],
         cadence_s=w["cadence_s"],
@@ -243,8 +244,8 @@ def wrangle_faults(store, config: dict) -> dict:
         raise PipelineError("wrangle_faults produced no examples; "
                             f"merge stats: {stats}")
     ids = sorted(_fault_example_doc(ex, "train")["_id"] for ex in examples)
-    split = split_dataset(ids, f["test_fraction"], f["val_fraction"], config["seed"])
-    test_ids = set(split.test)
+    test_ids = set(split_dataset(ids, f["test_fraction"], f["val_fraction"],
+                                 config["seed"]))
     docs = []
     for example in examples:
         doc = _fault_example_doc(example, "train")

@@ -1,18 +1,14 @@
-"""Data wrangling: cleaning, example extraction, dataset splitting.
+"""Data wrangling: example extraction and dataset splitting.
 
-Raw fleet telemetry is messy in predictable ways: inconsistent categorical
-spellings, duplicated rows from logger retries, physically impossible
-spikes, dead sensor channels. The cleaning pass runs in a fixed order
-(unify -> dedupe -> drop-constant -> sigma-clip, each a single pass) and
-produces a ledger of what it removed.
-
-Supervised examples are then cut from the cleaned streams. For
+Each fridge's telemetry becomes one :class:`FridgeSeries`, built once from
+its records: timestamps, defrost flags and a feature matrix as numpy
+arrays. Supervised examples are cut from those blocks. For
 time-to-threshold regression, each defrost run (defrost flag 0->1 at t0,
 1->0 at t1) yields a window of ``window_len`` steps strictly before t0 and
-a target of t1 - t0 seconds; for fault classification, work-order texts
-are regex-joined to fridges and windows end a fixed horizon before each
-fault. Both window paths share :func:`assemble_window`, which is also what
-inference uses, so training and serving assemble inputs identically.
+a target of t1 - t0 seconds; a decision lead only moves the window's
+boundary. For fault classification, work-order texts are regex-joined to
+fridges and windows end a fixed horizon before each fault. Every window is
+cut by :func:`assemble_window`, a binary search and a slice of the block.
 """
 
 from __future__ import annotations
@@ -21,17 +17,13 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from coldflow.telemetry import TelemetryRecord, UnsortedInput, field_value
 
 log = logging.getLogger(__name__)
-
-
-class EmptyDataset(Exception):
-    pass
 
 
 class SingleClass(Exception):
@@ -55,286 +47,102 @@ DEFAULT_GAP_FACTOR = 3.0
 DEFAULT_TARGET_BAND_S = (600.0, 3 * 2700.0)
 
 
-# --------------------------------------------------------------- cleaning
-
-
-def unify_categoricals(values: list, canon_map: dict) -> list:
-    """Map categorical variants onto canonical tokens.
-
-    Keys of ``canon_map`` are lowercase-trimmed variants; values are the
-    canonical token (or None for "treat as missing"). Strings are matched
-    after lowercasing and trimming; unmapped values pass through unchanged.
-    Canonical tokens map to themselves, so the operation is idempotent.
-    """
-    out = []
-    unmapped: set = set()
-    for value in values:
-        if isinstance(value, str):
-            key = value.strip().lower()
-            if key in canon_map:
-                out.append(canon_map[key])
-                continue
-            if value not in unmapped and value != "":
-                unmapped.add(value)
-        out.append(value)
-    if unmapped:
-        log.debug("unify_categoricals: %d unmapped variants: %s",
-                  len(unmapped), sorted(unmapped)[:10])
-    return out
-
-
-def dedupe_records(records: list[TelemetryRecord]) -> list[TelemetryRecord]:
-    """Drop records repeating a (fridge_id, timestamp) key, keeping the first.
-
-    Stable; conflicting duplicates (same key, different payload) are logged.
-    """
-    seen: dict = {}
-    out = []
-    conflicts = 0
-    for rec in records:
-        key = (rec.fridge_id, rec.timestamp)
-        if key in seen:
-            if seen[key] != rec:
-                conflicts += 1
-            continue
-        seen[key] = rec
-        out.append(rec)
-    if conflicts:
-        log.warning("dedupe_records: %d conflicting duplicates dropped", conflicts)
-    return out
-
-
-def _value_key(value):
-    if isinstance(value, bool):
-        return ("bool", value)
-    if isinstance(value, (int, float)):
-        return ("num", float(value))
-    return (type(value).__name__, value)
-
-
-def drop_constant_features(columns: dict) -> list[str]:
-    """Return the feature names worth keeping.
-
-    A column with at most one distinct non-missing value (missing = None or
-    NaN) carries no signal and is dropped, with a log line naming it.
-    """
-    if not columns:
-        raise EmptyDataset("no columns given")
-    retained = []
-    for name, values in columns.items():
-        distinct = set()
-        for value in values:
-            if value is None:
-                continue
-            if isinstance(value, float) and math.isnan(value):
-                continue
-            distinct.add(_value_key(value))
-            if len(distinct) > 1:
-                break
-        if len(distinct) > 1:
-            retained.append(name)
-        else:
-            log.info("drop_constant_features: dropping %r (%d distinct value%s)",
-                     name, len(distinct), "" if len(distinct) == 1 else "s")
-    return retained
-
-
-@dataclass(frozen=True)
-class SigmaClipResult:
-    kept: list
-    removed: list
-    degenerate_std: bool
-
-
-def sigma_clip(values: list, k: float) -> SigmaClipResult:
-    """Single-pass sigma clipping against mean and population std.
-
-    Values with |v - mean| > k * std are removed. A (near-)zero std means
-    every deviation is zero signal: everything is kept and the result is
-    flagged degenerate rather than raising.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return SigmaClipResult([], [], True)
-    mean = float(arr.mean())
-    std = float(arr.std())
-    if std <= 1e-12 * max(1.0, abs(mean)):
-        return SigmaClipResult(list(values), [], True)
-    bound = k * std
-    kept, removed = [], []
-    for value in values:
-        (kept if abs(float(value) - mean) <= bound else removed).append(value)
-    return SigmaClipResult(kept, removed, False)
-
-
-@dataclass(frozen=True)
-class CleanerConfig:
-    """Knobs for the fixed-order cleaning pass."""
-
-    canon_maps: dict = field(default_factory=dict)
-    sigma_k: float = 3.0
-    sigma_columns: tuple = DEFAULT_FEATURES
-
-
-@dataclass
-class CleaningLedger:
-    duplicates_removed: int = 0
-    dropped_features: list = field(default_factory=list)
-    clipped_records: int = 0
-    degenerate_columns: list = field(default_factory=list)
-    unified_columns: list = field(default_factory=list)
-
-
-def clean_records(records: list[TelemetryRecord], config: CleanerConfig):
-    """Full cleaning pass: unify -> dedupe -> drop-constant -> sigma-clip.
-
-    Operates on extra-map categoricals (unify), whole records (dedupe,
-    sigma-clip on the configured numeric columns) and extra-map features
-    (drop-constant). Returns (cleaned_records, CleaningLedger). Each step is
-    a single pass; on fleet-shaped data the whole pass is a fixed point, so
-    cleaning twice equals cleaning once.
-    """
-    ledger = CleaningLedger()
-
-    # 1. Unify categorical spellings in the extra maps.
-    out = records
-    if config.canon_maps:
-        out = []
-        for rec in records:
-            extra = dict(rec.extra)
-            for column, canon_map in config.canon_maps.items():
-                if column in extra:
-                    extra[column] = unify_categoricals([extra[column]], canon_map)[0]
-            out.append(replace(rec, extra=extra))
-        ledger.unified_columns = sorted(config.canon_maps)
-
-    # 2. Dedupe on (fridge_id, timestamp), keep first.
-    before = len(out)
-    out = dedupe_records(out)
-    ledger.duplicates_removed = before - len(out)
-
-    # 3. Drop extra-map features with no signal.
-    extra_names: list[str] = []
-    for rec in out:
-        for name in rec.extra:
-            if name not in extra_names:
-                extra_names.append(name)
-    if extra_names:
-        columns = {name: [rec.extra.get(name) for rec in out] for name in extra_names}
-        retained = set(drop_constant_features(columns))
-        ledger.dropped_features = [n for n in extra_names if n not in retained]
-        if ledger.dropped_features:
-            out = [
-                replace(rec, extra={k: v for k, v in rec.extra.items() if k in retained})
-                for rec in out
-            ]
-
-    # 4. Sigma-clip whole records on the configured numeric columns.
-    bounds = {}
-    for column in config.sigma_columns:
-        pool = []
-        for rec in out:
-            value = field_value(rec, column)
-            if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                    and math.isfinite(float(value)):
-                pool.append(float(value))
-        if not pool:
-            continue
-        arr = np.asarray(pool)
-        mean, std = float(arr.mean()), float(arr.std())
-        if std <= 1e-12 * max(1.0, abs(mean)):
-            ledger.degenerate_columns.append(column)
-            continue
-        bounds[column] = (mean - config.sigma_k * std, mean + config.sigma_k * std)
-
-    if bounds:
-        kept = []
-        for rec in out:
-            bad = False
-            for column, (lo, hi) in bounds.items():
-                value = field_value(rec, column)
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    if not lo <= float(value) <= hi:
-                        bad = True
-                        break
-            if bad:
-                ledger.clipped_records += 1
-            else:
-                kept.append(rec)
-        out = kept
-
-    return out, ledger
-
-
 # -------------------------------------------------------------- windowing
 
 
-def group_by_fridge(records: list[TelemetryRecord]) -> dict:
-    """Split a stream per fridge, requiring per-fridge time order.
+@dataclass(frozen=True, eq=False)
+class FridgeSeries:
+    """One fridge's stream as arrays, built once; every window is a slice.
+
+    ``timestamps`` and ``defrost`` are float64 per reading; ``features`` is
+    a float64 [readings x len(feature_names)] matrix in which any value that
+    is not a finite, non-bool number (None, a string, a bool, NaN, inf) is
+    NaN. ``store_ids`` are kept per reading, as the records give them.
+    """
+
+    fridge_id: str
+    feature_names: tuple
+    timestamps: np.ndarray
+    defrost: np.ndarray
+    features: np.ndarray
+    store_ids: tuple
+
+
+def _feature_column(records: list[TelemetryRecord], name: str) -> np.ndarray:
+    """One feature over the records as float64, NaN where a value is not a
+    finite, non-bool number."""
+    values = [field_value(r, name) for r in records]
+    # Plain floats and ints convert in one call; bools, None, strings and
+    # other types are sorted out one value at a time.
+    if not set(map(type, values)) <= {float, int}:
+        values = [v if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
+                  for v in values]
+    column = np.array(values, dtype=np.float64)
+    column[~np.isfinite(column)] = math.nan
+    return column
+
+
+def fridge_series(records: list[TelemetryRecord],
+                  feature_names=DEFAULT_FEATURES) -> dict[str, FridgeSeries]:
+    """Build one FridgeSeries per fridge, keyed in order of first appearance.
 
     Accepts both fridge-major and time-interleaved streams; what matters
     downstream is that each fridge's own records never go backwards.
     """
     groups: dict[str, list[TelemetryRecord]] = {}
     for rec in records:
-        bucket = groups.setdefault(rec.fridge_id, [])
-        if bucket and rec.timestamp < bucket[-1].timestamp:
-            raise UnsortedInput(
-                f"fridge {rec.fridge_id!r} goes backwards at t={rec.timestamp}"
-            )
-        bucket.append(rec)
-    return groups
+        groups.setdefault(rec.fridge_id, []).append(rec)
+    names = tuple(feature_names)
+    blocks = {}
+    for fridge_id, recs in groups.items():
+        timestamps = np.array([r.timestamp for r in recs], dtype=np.float64)
+        backwards = np.flatnonzero(np.diff(timestamps) < 0)
+        if backwards.size:
+            raise UnsortedInput(f"fridge {fridge_id!r} goes backwards at "
+                                f"t={timestamps[backwards[0] + 1]}")
+        blocks[fridge_id] = FridgeSeries(
+            fridge_id=fridge_id,
+            feature_names=names,
+            timestamps=timestamps,
+            defrost=np.array([r.defrost_state for r in recs], dtype=np.float64),
+            features=np.column_stack([_feature_column(recs, name) for name in names]),
+            store_ids=tuple(r.store_id for r in recs),
+        )
+    return blocks
 
 
 def assemble_window(
-    fridge_records: list[TelemetryRecord],
+    series: FridgeSeries,
     end_before_ts: float,
     window_len: int,
-    feature_names=DEFAULT_FEATURES,
     cadence_s: float = DEFAULT_CADENCE_S,
     gap_factor: float = DEFAULT_GAP_FACTOR,
     require_defrost_free: bool = True,
 ):
     """Cut a [window_len x features] matrix ending strictly before a time.
 
-    The single window-assembly path used by training extraction and by
-    inference. Returns (matrix, window_end_ts, None) on success or
-    (None, None, reason) with reason in {"insufficient_history",
-    "window_gap", "defrost_in_window", "non_finite"}.
+    The single window-cutting path, used for defrost and fault examples
+    alike: a binary search for the boundary, then a slice of the block.
+    Returns (matrix, window_end_ts, None) on success, the matrix a copy, or
+    (None, None, reason) with reason, checked in this order, one of
+    "insufficient_history", "window_gap" (end gap, then inner gaps),
+    "defrost_in_window" and "non_finite".
     """
-    timestamps = [r.timestamp for r in fridge_records]
-    hi = _bisect_left(timestamps, end_before_ts)
+    timestamps = series.timestamps
+    hi = int(np.searchsorted(timestamps, end_before_ts, side="left"))
     if hi < window_len:
         return None, None, "insufficient_history"
-    window = fridge_records[hi - window_len : hi]
+    lo = hi - window_len
     max_gap = gap_factor * cadence_s
-    if end_before_ts - window[-1].timestamp > max_gap:
+    if end_before_ts - timestamps[hi - 1] > max_gap \
+            or (np.diff(timestamps[lo:hi]) > max_gap).any():
         return None, None, "window_gap"
-    for prev, cur in zip(window, window[1:]):
-        if cur.timestamp - prev.timestamp > max_gap:
-            return None, None, "window_gap"
-    if require_defrost_free and any(r.defrost_state != 0 for r in window):
+    if require_defrost_free and (series.defrost[lo:hi] != 0).any():
         return None, None, "defrost_in_window"
-    matrix = np.empty((window_len, len(feature_names)), dtype=np.float64)
-    for i, rec in enumerate(window):
-        for j, name in enumerate(feature_names):
-            value = field_value(rec, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(float(value)):
-                return None, None, "non_finite"
-            matrix[i, j] = float(value)
-    return matrix, window[-1].timestamp, None
-
-
-def _bisect_left(timestamps, ts):
-    lo, hi = 0, len(timestamps)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if timestamps[mid] < ts:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    matrix = series.features[lo:hi]
+    if not np.isfinite(matrix).all():
+        return None, None, "non_finite"
+    return matrix.copy(), float(timestamps[hi - 1]), None
 
 
 # ----------------------------------------------------- defrost extraction
@@ -366,27 +174,30 @@ class RejectedRun:
     reason: str
 
 
-def _defrost_runs(fridge_records):
-    """Yield (start_index, end_index) where end is the first 0-record after
-    the run, or None when the stream ends mid-defrost."""
+def _defrost_runs(defrost: np.ndarray):
+    """List (start_index, end_index) per defrost run: start is a 1-flag
+    outside any run, end the first 0-flag after it, or None when the stream
+    ends mid-defrost."""
+    ones = np.flatnonzero(defrost == 1)
+    zeros = np.flatnonzero(defrost == 0)
     runs = []
-    start = None
-    for i, rec in enumerate(fridge_records):
-        if rec.defrost_state == 1 and start is None:
-            start = i
-        elif rec.defrost_state == 0 and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, None))
+    k = 0
+    while k < len(ones):
+        start = int(ones[k])
+        after = np.searchsorted(zeros, start)
+        if after == len(zeros):
+            runs.append((start, None))
+            break
+        end = int(zeros[after])
+        runs.append((start, end))
+        k = int(np.searchsorted(ones, end))
     return runs
 
 
 def extract_defrost_examples(
-    records: list[TelemetryRecord],
+    series: FridgeSeries,
     window_len: int,
     threshold: float,
-    feature_names=DEFAULT_FEATURES,
     cadence_s: float = DEFAULT_CADENCE_S,
     gap_factor: float = DEFAULT_GAP_FACTOR,
     target_band_s=DEFAULT_TARGET_BAND_S,
@@ -401,58 +212,57 @@ def extract_defrost_examples(
     the duration falls outside the plausibility band.
     """
     band_lo, band_hi = target_band_s
+    max_gap = gap_factor * cadence_s
+    timestamps = series.timestamps
+    fridge_id = series.fridge_id
     examples: list[DefrostExample] = []
     rejects: list[RejectedRun] = []
-    for fridge_id, fridge_records in group_by_fridge(records).items():
-        for start, end in _defrost_runs(fridge_records):
-            t0 = fridge_records[start].timestamp
-            if start == 0:
-                rejects.append(RejectedRun(fridge_id, t0, "insufficient_history"))
-                continue
-            if end is None:
-                rejects.append(RejectedRun(fridge_id, t0, "incomplete_run"))
-                continue
-            t1 = fridge_records[end].timestamp
-            run_slice = fridge_records[start : end + 1]
-            max_gap = gap_factor * cadence_s
-            if any(b.timestamp - a.timestamp > max_gap
-                   for a, b in zip(run_slice, run_slice[1:])):
-                rejects.append(RejectedRun(fridge_id, t0, "run_gap"))
-                continue
-            target = t1 - t0
-            if not band_lo <= target <= band_hi:
-                rejects.append(RejectedRun(fridge_id, t0, "implausible_duration"))
-                continue
-            matrix, window_end, reason = assemble_window(
-                fridge_records, t0, window_len, feature_names, cadence_s, gap_factor
+    for start, end in _defrost_runs(series.defrost):
+        t0 = float(timestamps[start])
+        if start == 0:
+            rejects.append(RejectedRun(fridge_id, t0, "insufficient_history"))
+            continue
+        if end is None:
+            rejects.append(RejectedRun(fridge_id, t0, "incomplete_run"))
+            continue
+        if (np.diff(timestamps[start : end + 1]) > max_gap).any():
+            rejects.append(RejectedRun(fridge_id, t0, "run_gap"))
+            continue
+        target = float(timestamps[end]) - t0
+        if not band_lo <= target <= band_hi:
+            rejects.append(RejectedRun(fridge_id, t0, "implausible_duration"))
+            continue
+        matrix, window_end, reason = assemble_window(
+            series, t0, window_len, cadence_s, gap_factor
+        )
+        if reason is not None:
+            rejects.append(RejectedRun(fridge_id, t0, reason))
+            continue
+        examples.append(
+            DefrostExample(
+                fridge_id=fridge_id,
+                store_id=series.store_ids[start],
+                defrost_start_ts=t0,
+                target_seconds=target,
+                observed=matrix,
+                feature_names=series.feature_names,
+                lead_seconds=0.0,
+                threshold_temp=threshold,
+                window_end_ts=window_end,
             )
-            if reason is not None:
-                rejects.append(RejectedRun(fridge_id, t0, reason))
-                continue
-            examples.append(
-                DefrostExample(
-                    fridge_id=fridge_id,
-                    store_id=fridge_records[start].store_id,
-                    defrost_start_ts=t0,
-                    target_seconds=target,
-                    observed=matrix,
-                    feature_names=tuple(feature_names),
-                    lead_seconds=0.0,
-                    threshold_temp=threshold,
-                    window_end_ts=window_end,
-                )
-            )
+        )
     return examples, rejects
 
 
 def shift_for_lead_time(
-    records: list[TelemetryRecord],
+    series: FridgeSeries,
     example: DefrostExample,
     lead_seconds: float,
     cadence_s: float = DEFAULT_CADENCE_S,
     gap_factor: float = DEFAULT_GAP_FACTOR,
 ):
-    """Re-cut an example for decisions lead_seconds ahead of the event.
+    """Re-cut an example, from its fridge's block, for decisions lead_seconds
+    ahead of the event.
 
     The observed window slides back to end strictly before t0 -
     lead_seconds and the target grows by lead_seconds (time from decision
@@ -463,12 +273,10 @@ def shift_for_lead_time(
         raise ValueError("lead_seconds must be >= 0")
     if lead_seconds == 0:
         return example
-    fridge_records = [r for r in records if r.fridge_id == example.fridge_id]
     matrix, window_end, reason = assemble_window(
-        fridge_records,
+        series,
         example.defrost_start_ts - lead_seconds,
         len(example.observed),
-        example.feature_names,
         cadence_s,
         gap_factor,
     )
@@ -559,12 +367,11 @@ class FaultMergeStats:
 
 
 def merge_faults(
-    records: list[TelemetryRecord],
+    series: dict[str, FridgeSeries],
     workorders: list[Workorder],
     horizon_seconds: float,
     window_len: int,
     patterns: list[str],
-    feature_names=DEFAULT_FEATURES,
     negatives_per_positive: float = 1.0,
     seed: int = 0,
     cadence_s: float = DEFAULT_CADENCE_S,
@@ -572,58 +379,65 @@ def merge_faults(
 ):
     """Join faults to telemetry and cut positive/negative windows.
 
-    Positive: window ending horizon_seconds before a fault of that fridge.
-    Negative: window whose end sits at least 2 x horizon_seconds away from
-    every fault of the same fridge, sampled seeded-uniformly across the
-    fleet. Defrost steps are allowed inside fault windows (they are normal
-    operation). Returns (examples, FaultMergeStats).
+    ``series`` maps fridge ids to their blocks, as :func:`fridge_series`
+    builds them. Positive: window ending horizon_seconds before a fault of
+    that fridge. Negative: window whose end sits at least 2 x
+    horizon_seconds away from every fault of the same fridge, sampled
+    seeded-uniformly across the fleet. Defrost steps are allowed inside
+    fault windows (they are normal operation). Returns (examples,
+    FaultMergeStats).
     """
     events, skipped = parse_workorders(workorders, patterns)
-    groups = group_by_fridge(records)
     stats = FaultMergeStats(skipped_workorders=skipped)
     examples: list[FaultExample] = []
 
     faults_by_fridge: dict[str, list[FaultEvent]] = {}
     for event in events:
-        if event.fridge_id not in groups:
+        if event.fridge_id not in series:
             stats.unmatched_fridges += 1
             continue
         faults_by_fridge.setdefault(event.fridge_id, []).append(event)
 
-    for fridge_id, faults in faults_by_fridge.items():
-        fridge_records = groups[fridge_id]
-        for event in faults:
-            boundary = event.timestamp - horizon_seconds
-            matrix, window_end, reason = assemble_window(
-                fridge_records, boundary, window_len, feature_names,
-                cadence_s, gap_factor, require_defrost_free=False,
+    def cut(block, boundary, label, fault_name):
+        """Append the window before boundary as an example; returns the
+        reject reason, or None when the window was cut."""
+        matrix, window_end, reason = assemble_window(
+            block, boundary, window_len, cadence_s, gap_factor,
+            require_defrost_free=False,
+        )
+        if reason is not None:
+            return reason
+        examples.append(
+            FaultExample(
+                fridge_id=block.fridge_id,
+                store_id=block.store_ids[0],
+                label=label,
+                fault_name=fault_name,
+                horizon_seconds=horizon_seconds,
+                observed=matrix,
+                feature_names=block.feature_names,
+                window_end_ts=window_end,
             )
+        )
+        return None
+
+    for fridge_id, faults in faults_by_fridge.items():
+        for event in faults:
+            reason = cut(series[fridge_id], event.timestamp - horizon_seconds,
+                         "fault", event.fault_name)
             if reason is not None:
                 stats.positive_rejects.append(RejectedRun(fridge_id, event.timestamp, reason))
-                continue
-            examples.append(
-                FaultExample(
-                    fridge_id=fridge_id,
-                    store_id=fridge_records[0].store_id,
-                    label="fault",
-                    fault_name=event.fault_name,
-                    horizon_seconds=horizon_seconds,
-                    observed=matrix,
-                    feature_names=tuple(feature_names),
-                    window_end_ts=window_end,
-                )
-            )
     stats.positives = len(examples)
 
     # Negative candidates: every record position far from that fridge's
     # faults; sampled in seeded shuffled order until enough windows build.
     wanted = int(round(stats.positives * negatives_per_positive))
     candidates: list[tuple[str, float]] = []
-    for fridge_id, fridge_records in groups.items():
+    for fridge_id, block in series.items():
         fault_times = np.asarray(
             [e.timestamp for e in faults_by_fridge.get(fridge_id, [])], dtype=float
         )
-        times = np.asarray([r.timestamp for r in fridge_records], dtype=float)
+        times = block.timestamps
         if fault_times.size:
             distance = np.abs(times[:, None] - fault_times[None, :]).min(axis=1)
             eligible = times[distance >= 2.0 * horizon_seconds]
@@ -633,30 +447,11 @@ def merge_faults(
 
     rng = random.Random(seed)
     rng.shuffle(candidates)
-    negatives = 0
     for fridge_id, boundary in candidates:
-        if negatives >= wanted:
+        if stats.negatives >= wanted:
             break
-        matrix, window_end, reason = assemble_window(
-            groups[fridge_id], boundary, window_len, feature_names,
-            cadence_s, gap_factor, require_defrost_free=False,
-        )
-        if reason is not None:
-            continue
-        examples.append(
-            FaultExample(
-                fridge_id=fridge_id,
-                store_id=groups[fridge_id][0].store_id,
-                label="no_fault",
-                fault_name=None,
-                horizon_seconds=horizon_seconds,
-                observed=matrix,
-                feature_names=tuple(feature_names),
-                window_end_ts=window_end,
-            )
-        )
-        negatives += 1
-    stats.negatives = negatives
+        if cut(series[fridge_id], boundary, "no_fault", None) is None:
+            stats.negatives += 1
     return examples, stats
 
 
@@ -685,23 +480,13 @@ def balance_classes(examples: list, seed: int) -> list:
 # ----------------------------------------------------------------- splits
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    """Fixed test set plus a train pool; validation is drawn per round."""
-
-    train_pool: tuple
-    test: tuple
-    val_size: int
-    seed: int
-
-
 def split_dataset(example_ids: list, test_fraction: float, val_fraction: float,
-                  seed: int) -> DatasetSplit:
-    """Split ids into a fixed seeded test set and a train pool.
+                  seed: int) -> tuple:
+    """Return a fixed seeded test set drawn from the ids.
 
-    The validation set is not fixed here: call :func:`resample_validation`
-    to draw a fresh multiset (with replacement, Monte Carlo style) from the
-    train pool each round.
+    The rest is the train pool, from which training draws its validation
+    examples; ``val_fraction`` is checked here so that test, validation
+    and training each keep at least one id.
     """
     if not 0.0 < test_fraction < 1.0 or not 0.0 < val_fraction < 1.0 \
             or test_fraction + val_fraction >= 1.0:
@@ -711,16 +496,4 @@ def split_dataset(example_ids: list, test_fraction: float, val_fraction: float,
     val_n = int(round(n * val_fraction))
     if test_n < 1 or val_n < 1 or n - test_n - val_n < 1:
         raise TooFewExamples(f"{n} ids cannot honor the requested fractions")
-    rng = random.Random(seed)
-    test = rng.sample(list(example_ids), test_n)
-    test_set = set(test)
-    train_pool = [x for x in example_ids if x not in test_set]
-    return DatasetSplit(
-        train_pool=tuple(train_pool), test=tuple(test), val_size=val_n, seed=seed
-    )
-
-
-def resample_validation(split: DatasetSplit, round_seed: int) -> list:
-    """Draw a validation multiset with replacement from the train pool."""
-    rng = random.Random(round_seed)
-    return rng.choices(list(split.train_pool), k=split.val_size)
+    return tuple(random.Random(seed).sample(list(example_ids), test_n))

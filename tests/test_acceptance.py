@@ -58,6 +58,7 @@ from coldflow.wrangler import (
     Workorder,
     balance_classes,
     extract_defrost_examples,
+    fridge_series,
     merge_faults,
     shift_for_lead_time,
     split_dataset,
@@ -106,21 +107,19 @@ def dsr(tmp_path_factory):
     lead0_examples = 0
     for spec, records in simulate_fleet(sim):
         records = derive_features(records, midband_setpoints(spec))
-        examples, _ = extract_defrost_examples(
-            records, window_len=32, threshold=8.0, feature_names=WINDOW_FEATURES
-        )
+        series = fridge_series(records, WINDOW_FEATURES)[spec.fridge_id]
+        examples, _ = extract_defrost_examples(series, window_len=32, threshold=8.0)
         lead0_examples += len(examples)
         for ex in examples:
             try:
-                ahead = shift_for_lead_time(records, ex, 120.0)
+                ahead = shift_for_lead_time(series, ex, 120.0)
             except InsufficientHistory:
                 continue
             per_event[ex.event_id] = (ex, ahead)
     t_sim_extract = time.monotonic() - t0
 
     events = sorted(per_event)
-    split = split_dataset(events, 0.1, 0.1, DSR_SEED)
-    test_events = set(split.test)
+    test_events = set(split_dataset(events, 0.1, 0.1, DSR_SEED))
     docs = []
     for event_id in events:
         tag = "test" if event_id in test_events else "train"
@@ -207,19 +206,17 @@ def fault(tmp_path_factory):
         records.extend(derive_features(recs, midband_setpoints(spec)))
 
     examples, stats = merge_faults(
-        records,
+        fridge_series(records, WINDOW_FEATURES),
         [Workorder(text, ts) for text, ts in orders],
         horizon_seconds=86400.0,
         window_len=64,
         patterns=WORKORDER_PATTERNS,
-        feature_names=WINDOW_FEATURES,
         negatives_per_positive=1.0,
         seed=FAULT_SEED,
     )
     examples = balance_classes(examples, FAULT_SEED)
     ids = sorted(_fault_example_doc(ex, "train")["_id"] for ex in examples)
-    split = split_dataset(ids, 0.2, 0.1, FAULT_SEED)
-    test_ids = set(split.test)
+    test_ids = set(split_dataset(ids, 0.2, 0.1, FAULT_SEED))
     docs = []
     for ex in examples:
         doc = _fault_example_doc(ex, "train")

@@ -18,7 +18,11 @@ from coldflow.pipelines import (
 from coldflow.runconfig import validate_config
 
 
-def small_config():
+DSR0 = {"name": "dsr0", "task": "regression", "cell": "rnn",
+        "layers": 1, "hidden": 8, "epochs": 3, "lead_seconds": 0.0}
+
+
+def small_config(learn=(DSR0,)):
     return validate_config({
         "seed": 11,
         "pool_width": 2,
@@ -28,8 +32,7 @@ def small_config():
                      "faults": {"count": 4, "noise_workorders": 2}},
         "faults": {"patterns": WORKORDER_PATTERNS, "horizon_s": 21600.0,
                    "window_len": 16, "test_fraction": 0.25, "val_fraction": 0.25},
-        "learn": [{"name": "dsr0", "task": "regression", "cell": "rnn",
-                   "layers": 1, "hidden": 8, "epochs": 3, "lead_seconds": 0.0}],
+        "learn": [dict(entry) for entry in learn],
         "infer": [{"model": "dsr0", "split": "test"}],
         "select": {"model": "dsr0", "target_kw": 2.0, "min_safe_off_s": 300.0,
                    "tag": "evening"},
@@ -281,3 +284,24 @@ def test_run_twice_reports_byte_identical(tmp_path):
             return canonical_dumps(docs).encode("utf-8")
 
     assert run_once("a") == run_once("b")
+
+
+def test_run_twice_stores_byte_identical_except_model_line_order(tmp_path):
+    # Two learn tasks share the width-2 pool, so they append to the model
+    # collections in the order they finish; every other file is fixed.
+    cfg = small_config(learn=(DSR0, dict(DSR0, name="dsr120", lead_seconds=120.0)))
+    model_files = {"models.ndjson", "model_index.ndjson", "model_chunks.ndjson"}
+    stores = []
+    for sub in ("a", "b"):
+        path = tmp_path / sub
+        reports, ok = run_project(str(path), cfg)
+        assert ok, [e.error for r in reports for e in r.failures()]
+        stores.append({f.name: f.read_bytes() for f in path.glob("*.ndjson")})
+    first, second = stores
+    assert sorted(first) == sorted(second)
+    assert {"dsr_examples.ndjson", "fault_examples.ndjson"} | model_files <= set(first)
+    for name in first:
+        if name in model_files:
+            assert sorted(first[name].splitlines()) == sorted(second[name].splitlines())
+        else:
+            assert first[name] == second[name], name
