@@ -2,15 +2,15 @@
 From raw telemetry to training examples
 =======================================
 
-The wrangler turns each fridge's record stream into one array block
-(timestamps, defrost flags and a feature matrix), then cuts supervised
-examples from it: a fixed window of features before each defrost and the
-defrost's duration as the target.
+The wrangler turns each fridge's telemetry documents, the form the store
+keeps them in, into one array block (timestamps, defrost flags and a
+feature matrix), then cuts supervised examples from it: a fixed window of
+features before each defrost and the defrost's duration as the target.
 """
 
 from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.pipelines import midband_setpoints
-from coldflow.telemetry import derive_features
+from coldflow.telemetry import derive_features, to_documents
 from coldflow.wrangler import (
     extract_defrost_examples,
     fridge_series,
@@ -20,11 +20,14 @@ from coldflow.wrangler import (
 
 # Simulate a month for two fridges and derive per-record features: first
 # differences and distance-to-setpoint channels join the raw temperatures.
+# The blocks are built from documents, as the pipeline reads them back
+# from the store.
 config = SimConfig(n_fridges=2, days=30.0, seed=3)
 examples = []
 for spec, records in simulate_fleet(config):
     records = derive_features(records, midband_setpoints(spec))
-    series = fridge_series(records, ("air_on_temperature", "air_on_diff"))[spec.fridge_id]
+    docs = to_documents(records)
+    series = fridge_series(docs, ("air_on_temperature", "air_on_diff"))[spec.fridge_id]
     print(f"{spec.fridge_id}: block of {series.features.shape[0]} readings x "
           f"{series.features.shape[1]} features")
     found, rejected = extract_defrost_examples(series, window_len=32, threshold=8.0)

@@ -23,7 +23,7 @@ from coldflow.fridgesim import (
 )
 from coldflow.neural import TrainConfig, predict_labels, train
 from coldflow.pipelines import midband_setpoints
-from coldflow.telemetry import derive_features
+from coldflow.telemetry import derive_features, to_documents
 from coldflow.wrangler import Workorder, balance_classes, fridge_series, merge_faults
 
 config = SimConfig(n_fridges=150, days=4.0, seed=21)
@@ -32,12 +32,14 @@ plans = plan_faults(specs, config, n_faults=120, seed=21)
 orders = workorders_for_plans(plans, specs, seed=21, noise_orders=5)
 print("a work order:", orders[0][0])
 
-records = []
+# Each fridge's readings become telemetry documents, as the store keeps
+# them, and then one array block.
+features = ("air_on_temperature", "air_off_temperature", "air_on_diff",
+            "targetTemp_on", "targetTemp_off")
+series = {}
 for spec, recs in simulate_fleet(config, fault_plans=plans):
-    records.extend(derive_features(recs, midband_setpoints(spec)))
-
-series = fridge_series(records, ("air_on_temperature", "air_off_temperature",
-                                 "air_on_diff", "targetTemp_on", "targetTemp_off"))
+    docs = to_documents(derive_features(recs, midband_setpoints(spec)))
+    series.update(fridge_series(docs, features))
 
 # The join parses free-text orders with the configured patterns, cuts a
 # positive window 24h before each matched fault, and samples negatives

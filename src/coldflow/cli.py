@@ -182,11 +182,10 @@ def cmd_wrangle(args) -> int:
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     with open_store(_store_path(args, config)) as store:
-        summary = pipelines.wrangle_dsr(store, config)
-        print(f"dsr examples: {summary}")
-        if config["faults"] is not None:
-            summary = pipelines.wrangle_faults(store, config)
-            print(f"fault examples: {summary}")
+        summary = pipelines.wrangle(store, config)
+    print(f"dsr examples: {summary['dsr']}")
+    if summary["faults"] is not None:
+        print(f"fault examples: {summary['faults']}")
     return 0
 
 

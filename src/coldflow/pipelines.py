@@ -17,7 +17,9 @@ trainings finish, so those files hold the same lines in either order.
 
 Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
-hands each worker the store path and the validated config.
+hands each worker the store path and the validated config. The one
+wrangle task builds each fridge's block once, from its stored telemetry
+documents, and cuts both kinds of example from the blocks.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from coldflow.fridgesim import (
     workorders_for_plans,
 )
 from coldflow.neural import TrainConfig, from_bytes, predict_labels, predict_values, to_bytes, train
-from coldflow.telemetry import Setpoints, derive_features, from_document, to_documents
+from coldflow.telemetry import Setpoints, derive_features, to_documents
 from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
@@ -104,18 +106,20 @@ def ingest_workorders(store, orders) -> tuple[int, int]:
     return insert_new(store, WORKORDERS, docs)
 
 
-def fridge_ids(store) -> list[str]:
+def telemetry_blocks(store, feature_names) -> dict:
+    """Every fridge's FridgeSeries, keyed in sorted fridge-id order. Each is
+    built from its fridge's documents, read through the fridge_id index in
+    time order, so one fridge's copies are held at a time."""
     groups = store.aggregate(TELEMETRY, [{"$group": {"_id": "$fridge_id"}}])
-    return sorted(g["_id"] for g in groups)
-
-
-def telemetry_for(store, fridge_id: str):
     store.create_index(TELEMETRY, "fridge_id")
-    docs = store.aggregate(
-        TELEMETRY,
-        [{"$match": {"fridge_id": fridge_id}}, {"$sort": {"timestamp": 1}}],
-    )
-    return [from_document(d) for d in docs]
+    blocks = {}
+    for fid in sorted(g["_id"] for g in groups):
+        docs = store.aggregate(
+            TELEMETRY,
+            [{"$match": {"fridge_id": fid}}, {"$sort": {"timestamp": 1}}],
+        )
+        blocks.update(fridge_series(docs, feature_names))
+    return blocks
 
 
 # --------------------------------------------------------------- wrangle
@@ -139,7 +143,18 @@ def _dsr_example_doc(example, split: str) -> dict:
     }
 
 
-def wrangle_dsr(store, config: dict) -> dict:
+def wrangle(store, config: dict) -> dict:
+    """Build every fridge's block once, then cut and store defrost examples
+    and, with a faults section, fault windows. Returns both summaries as
+    ``{"dsr": ..., "faults": ... or None}``."""
+    blocks = telemetry_blocks(store, config["wrangle"]["features"])
+    summary = {"dsr": _cut_dsr_examples(store, blocks, config), "faults": None}
+    if config["faults"] is not None:
+        summary["faults"] = _cut_fault_examples(store, blocks, config)
+    return summary
+
+
+def _cut_dsr_examples(store, blocks: dict, config: dict) -> dict:
     """Cut defrost-duration examples at every configured lead and split them.
 
     The split is assigned per defrost event, so all leads of one event land
@@ -150,8 +165,7 @@ def wrangle_dsr(store, config: dict) -> dict:
     rejects = 0
     shift_failures = 0
     per_event_examples: dict[str, list] = {}
-    for fid in fridge_ids(store):
-        series = fridge_series(telemetry_for(store, fid), w["features"])[fid]
+    for series in blocks.values():
         examples, fridge_rejects = extract_defrost_examples(
             series,
             window_len=w["window_len"],
@@ -177,7 +191,7 @@ def wrangle_dsr(store, config: dict) -> dict:
                 per_event_examples[example.event_id] = variants
 
     if not events:
-        raise PipelineError("wrangle_dsr produced no usable defrost events")
+        raise PipelineError("wrangle produced no usable defrost events")
     test_events = set(split_dataset(sorted(events), w["test_fraction"],
                                     w["val_fraction"], config["seed"]))
     docs = []
@@ -195,7 +209,7 @@ def wrangle_dsr(store, config: dict) -> dict:
         "inserted": inserted,
         "skipped": skipped,
     }
-    log.info("wrangle_dsr: %s", summary)
+    log.info("wrangle dsr: %s", summary)
     return summary
 
 
@@ -214,21 +228,16 @@ def _fault_example_doc(example, split: str) -> dict:
     }
 
 
-def wrangle_faults(store, config: dict) -> dict:
-    """Join work orders to telemetry and store labeled fault windows."""
+def _cut_fault_examples(store, blocks: dict, config: dict) -> dict:
+    """Join work orders to the blocks and store labeled fault windows."""
     f = config["faults"]
     w = config["wrangle"]
-    if f is None:
-        raise PipelineError("config has no faults section")
-    series = {}
-    for fid in fridge_ids(store):
-        series.update(fridge_series(telemetry_for(store, fid), w["features"]))
     orders = [
         Workorder(doc["raw_text"], doc["timestamp"])
         for doc in store.find_all(WORKORDERS)
     ]
     examples, stats = merge_faults(
-        series,
+        blocks,
         orders,
         horizon_seconds=f["horizon_s"],
         window_len=f["window_len"],
@@ -241,7 +250,7 @@ def wrangle_faults(store, config: dict) -> dict:
     if f["balance"] and examples:
         examples = balance_classes(examples, config["seed"])
     if not examples:
-        raise PipelineError("wrangle_faults produced no examples; "
+        raise PipelineError("wrangle produced no fault examples; "
                             f"merge stats: {stats}")
     ids = sorted(_fault_example_doc(ex, "train")["_id"] for ex in examples)
     test_ids = set(split_dataset(ids, f["test_fraction"], f["val_fraction"],
@@ -261,7 +270,7 @@ def wrangle_faults(store, config: dict) -> dict:
         "inserted": inserted,
         "skipped": skipped,
     }
-    log.info("wrangle_faults: %s", summary)
+    log.info("wrangle faults: %s", summary)
     return summary
 
 
@@ -688,8 +697,7 @@ def _task_infer(ctx, config, index):
 
 REGISTRY = {
     "simulate": _with_store(simulate_into_store),
-    "wrangle_dsr": _with_store(wrangle_dsr),
-    "wrangle_faults": _with_store(wrangle_faults),
+    "wrangle_dsr": _with_store(wrangle),  # bench traces name task spans by key
     "learn": _task_learn,
     "infer": _task_infer,
     "select": _with_store(select_dsr),
@@ -703,14 +711,12 @@ def build_stages(config: dict):
 
     width = config["pool_width"]
     stages = []
-    wrangle_scripts = [ScriptSpec(name="wrangle_dsr", builtin="wrangle_dsr",
-                                  args={"config": config})]
-    if config["faults"] is not None:
-        wrangle_scripts.append(ScriptSpec(name="wrangle_faults",
-                                          builtin="wrangle_faults",
-                                          args={"config": config}))
-    stages.append(StageSpec(name="wrangle", scripts=tuple(wrangle_scripts),
-                            pool_width=width))
+    stages.append(StageSpec(
+        name="wrangle",
+        scripts=(ScriptSpec(name="wrangle_dsr", builtin="wrangle_dsr",
+                            args={"config": config}),),
+        pool_width=width,
+    ))
     if config["learn"]:
         stages.append(StageSpec(
             name="learn",

@@ -103,7 +103,7 @@ def _validate_simulate(section) -> dict:
     loc = "simulate"
     _require_mapping(section, loc)
     _check_keys(section, loc, {"n_fridges", "days", "fridges_per_store", "noise",
-                               "faults", "dsr_target_kw"})
+                               "faults"})
     out = {
         "n_fridges": _get_int(section, loc, "n_fridges", 12, minimum=1),
         "days": _get_number(section, loc, "days", 8.0, minimum=0.0, exclusive=True),

@@ -240,26 +240,13 @@ def to_documents(records: list[TelemetryRecord]) -> list[dict]:
     return docs
 
 
-def from_document(doc: dict) -> TelemetryRecord:
-    return TelemetryRecord(
-        timestamp=doc["timestamp"],
-        fridge_id=doc["fridge_id"],
-        store_id=doc.get("store_id"),
-        air_on_temperature=doc["air_on_temperature"],
-        air_off_temperature=doc["air_off_temperature"],
-        defrost_state=doc["defrost_state"],
-        extra=dict(doc.get("extra", {})),
-        derived=dict(doc.get("derived", {})),
-    )
-
-
-def field_value(rec: TelemetryRecord, name: str):
-    """Resolve a feature name against base, derived, then extra fields."""
+def field_value(doc: dict, name: str):
+    """Resolve a feature name against a telemetry document's base fields,
+    then its derived map, then its extra map; None when absent."""
     if name in ("timestamp", "air_on_temperature", "air_off_temperature",
                 "defrost_state"):
-        return getattr(rec, name)
-    if name in rec.derived:
-        return rec.derived[name]
-    if name in rec.extra:
-        return rec.extra[name]
-    return None
+        return doc[name]
+    derived = doc.get("derived", {})
+    if name in derived:
+        return derived[name]
+    return doc.get("extra", {}).get(name)

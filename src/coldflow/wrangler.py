@@ -1,8 +1,8 @@
 """Data wrangling: example extraction and dataset splitting.
 
 Each fridge's telemetry becomes one :class:`FridgeSeries`, built once from
-its records: timestamps, defrost flags and a feature matrix as numpy
-arrays. Supervised examples are cut from those blocks. For
+its stored documents: timestamps, defrost flags and a feature matrix as
+numpy arrays. Supervised examples are cut from those blocks. For
 time-to-threshold regression, each defrost run (defrost flag 0->1 at t0,
 1->0 at t1) yields a window of ``window_len`` steps strictly before t0 and
 a target of t1 - t0 seconds; a decision lead only moves the window's
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from coldflow.telemetry import TelemetryRecord, UnsortedInput, field_value
+from coldflow.telemetry import UnsortedInput, field_value
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ class FridgeSeries:
     ``timestamps`` and ``defrost`` are float64 per reading; ``features`` is
     a float64 [readings x len(feature_names)] matrix in which any value that
     is not a finite, non-bool number (None, a string, a bool, NaN, inf) is
-    NaN. ``store_ids`` are kept per reading, as the records give them.
+    NaN. ``store_ids`` are kept per reading, as the documents give them.
     """
 
     fridge_id: str
@@ -68,10 +68,10 @@ class FridgeSeries:
     store_ids: tuple
 
 
-def _feature_column(records: list[TelemetryRecord], name: str) -> np.ndarray:
-    """One feature over the records as float64, NaN where a value is not a
-    finite, non-bool number."""
-    values = [field_value(r, name) for r in records]
+def _feature_column(docs: list[dict], name: str) -> np.ndarray:
+    """One feature over the documents as float64, NaN where a value is not
+    a finite, non-bool number."""
+    values = [field_value(d, name) for d in docs]
     # Plain floats and ints convert in one call; bools, None, strings and
     # other types are sorted out one value at a time.
     if not set(map(type, values)) <= {float, int}:
@@ -82,20 +82,22 @@ def _feature_column(records: list[TelemetryRecord], name: str) -> np.ndarray:
     return column
 
 
-def fridge_series(records: list[TelemetryRecord],
+def fridge_series(docs: list[dict],
                   feature_names=DEFAULT_FEATURES) -> dict[str, FridgeSeries]:
-    """Build one FridgeSeries per fridge, keyed in order of first appearance.
+    """Build one FridgeSeries per fridge from telemetry documents, as stored
+    or as ``telemetry.to_documents`` makes them, keyed in order of first
+    appearance. Features resolve through ``telemetry.field_value``.
 
     Accepts both fridge-major and time-interleaved streams; what matters
-    downstream is that each fridge's own records never go backwards.
+    downstream is that each fridge's own documents never go backwards.
     """
-    groups: dict[str, list[TelemetryRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.fridge_id, []).append(rec)
+    groups: dict[str, list[dict]] = {}
+    for doc in docs:
+        groups.setdefault(doc["fridge_id"], []).append(doc)
     names = tuple(feature_names)
     blocks = {}
-    for fridge_id, recs in groups.items():
-        timestamps = np.array([r.timestamp for r in recs], dtype=np.float64)
+    for fridge_id, group in groups.items():
+        timestamps = np.array([d["timestamp"] for d in group], dtype=np.float64)
         backwards = np.flatnonzero(np.diff(timestamps) < 0)
         if backwards.size:
             raise UnsortedInput(f"fridge {fridge_id!r} goes backwards at "
@@ -104,9 +106,9 @@ def fridge_series(records: list[TelemetryRecord],
             fridge_id=fridge_id,
             feature_names=names,
             timestamps=timestamps,
-            defrost=np.array([r.defrost_state for r in recs], dtype=np.float64),
-            features=np.column_stack([_feature_column(recs, name) for name in names]),
-            store_ids=tuple(r.store_id for r in recs),
+            defrost=np.array([d["defrost_state"] for d in group], dtype=np.float64),
+            features=np.column_stack([_feature_column(group, name) for name in names]),
+            store_ids=tuple(d.get("store_id") for d in group),
         )
     return blocks
 

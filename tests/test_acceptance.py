@@ -52,7 +52,7 @@ from coldflow.pipelines import (
     select_candidates,
 )
 from coldflow.runconfig import validate_config
-from coldflow.telemetry import derive_features
+from coldflow.telemetry import derive_features, to_documents
 from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
@@ -107,7 +107,7 @@ def dsr(tmp_path_factory):
     lead0_examples = 0
     for spec, records in simulate_fleet(sim):
         records = derive_features(records, midband_setpoints(spec))
-        series = fridge_series(records, WINDOW_FEATURES)[spec.fridge_id]
+        series = fridge_series(to_documents(records), WINDOW_FEATURES)[spec.fridge_id]
         examples, _ = extract_defrost_examples(series, window_len=32, threshold=8.0)
         lead0_examples += len(examples)
         for ex in examples:
@@ -201,12 +201,13 @@ def fault(tmp_path_factory):
     specs = fleet_specs(sim)
     plans = plan_faults(specs, sim, 180, FAULT_SEED)
     orders = workorders_for_plans(plans, specs, FAULT_SEED, noise_orders=10)
-    records = []
+    series = {}
     for spec, recs in simulate_fleet(sim, fault_plans=plans):
-        records.extend(derive_features(recs, midband_setpoints(spec)))
+        fridge_docs = to_documents(derive_features(recs, midband_setpoints(spec)))
+        series.update(fridge_series(fridge_docs, WINDOW_FEATURES))
 
     examples, stats = merge_faults(
-        fridge_series(records, WINDOW_FEATURES),
+        series,
         [Workorder(text, ts) for text, ts in orders],
         horizon_seconds=86400.0,
         window_len=64,

@@ -16,6 +16,7 @@ from coldflow.pipelines import (
     select_candidates,
 )
 from coldflow.runconfig import validate_config
+from coldflow.telemetry import Setpoints, TelemetryRecord
 
 
 DSR0 = {"name": "dsr0", "task": "regression", "cell": "rnn",
@@ -70,6 +71,36 @@ def test_ingest_workorders_orders_by_timestamp(tmp_path):
         assert by_id["wo:000001"]["raw_text"] == "late"
 
 
+def test_telemetry_blocks_sort_out_of_order_batches(tmp_path):
+    # Fridge F0 arrives in two batches, the later readings first, after F1.
+    # Its block still runs forwards in time with the same base features as
+    # a one-batch ingest, and blocks come in sorted fridge-id order.
+    def readings(fridge):
+        return [TelemetryRecord(timestamp=60.0 * i, fridge_id=fridge, store_id="S0",
+                                air_on_temperature=3.0 + 0.1 * (i % 7),
+                                air_off_temperature=1.0 - 0.05 * (i % 5),
+                                defrost_state=int(i % 20 >= 17))
+                for i in range(40)]
+
+    setpoints = Setpoints(3.0, 1.0)
+    names = ("timestamp", "air_on_temperature", "air_off_temperature", "defrost_state")
+    f0 = readings("F0")
+    with open_store(str(tmp_path / "one")) as store:
+        pipelines.ingest_records(store, f0, setpoints)
+        (want,) = pipelines.telemetry_blocks(store, names).values()
+    with open_store(str(tmp_path / "two")) as store:
+        pipelines.ingest_records(store, readings("F1"), setpoints)
+        pipelines.ingest_records(store, f0[25:], setpoints)
+        pipelines.ingest_records(store, f0[:25], setpoints)
+        blocks = pipelines.telemetry_blocks(store, names)
+    assert list(blocks) == ["F0", "F1"]
+    got = blocks["F0"]
+    assert got.timestamps.tolist() == [r.timestamp for r in f0]
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.defrost.tobytes() == want.defrost.tobytes()
+    assert got.store_ids == want.store_ids
+
+
 def test_wrangle_dsr_event_level_split(project):
     path, cfg = project
     with open_store(path, read_only=True) as store:
@@ -93,9 +124,11 @@ def test_wrangle_dsr_event_level_split(project):
 def test_wrangle_is_idempotent(project):
     path, cfg = project
     with open_store(path) as store:
-        summary = pipelines.wrangle_dsr(store, cfg)
-        assert summary["inserted"] == 0
-        assert summary["skipped"] == summary["examples"]
+        summary = pipelines.wrangle(store, cfg)
+        assert summary["dsr"]["inserted"] == 0
+        assert summary["dsr"]["skipped"] == summary["dsr"]["examples"]
+        assert summary["faults"]["inserted"] == 0
+        assert summary["faults"]["skipped"] == summary["faults"]["examples"]
 
 
 def test_wrangle_faults_labels_and_split(project):
@@ -232,14 +265,15 @@ def test_build_stages_widths_and_order():
     # Serial stages keep prediction and report files in a stable order.
     assert widths["infer"] == 1
     assert widths["serve"] == 1
-    assert [x.name for x in stages[0].scripts] == ["wrangle_dsr", "wrangle_faults"]
+    # One wrangle task cuts both kinds of example.
+    assert [x.name for x in stages[0].scripts] == ["wrangle_dsr"]
 
 
 def test_wrangle_dsr_empty_store_raises(tmp_path):
     cfg = validate_config({"seed": 0})
     with open_store(str(tmp_path / "s")) as store:
         with pytest.raises(PipelineError):
-            pipelines.wrangle_dsr(store, cfg)
+            pipelines.wrangle(store, cfg)
 
 
 def test_custom_external_stage_runs_last(tmp_path):

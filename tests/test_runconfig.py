@@ -38,6 +38,8 @@ def test_unknown_keys_rejected_with_location():
         validate_config({"seed": 1, "wrangle": {"windw_len": 3}})
     with pytest.raises(ConfigError, match="unknown key"):
         validate_config({"seed": 1, "bogus": True})
+    with pytest.raises(ConfigError, match=r"simulate\.dsr_target_kw: unknown key"):
+        validate_config({"seed": 1, "simulate": {"dsr_target_kw": 5.0}})
 
 
 def test_type_errors_carry_location():

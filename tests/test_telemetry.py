@@ -10,7 +10,6 @@ from coldflow.telemetry import (
     TelemetryRecord,
     UnsortedInput,
     derive_features,
-    from_document,
     parse_telemetry_csv,
     to_documents,
 )
@@ -136,5 +135,7 @@ def test_document_roundtrip_identity(tmp_path):
         store.insert_many("telemetry", docs)
     with open_store(tmp_path / "s", read_only=True) as store:
         loaded = store.find_all("telemetry")
-    back = [from_document(d) for d in loaded]
+    assert loaded == docs
+    back = [TelemetryRecord(**{k: v for k, v in d.items() if k != "_id"})
+            for d in loaded]
     assert back == records

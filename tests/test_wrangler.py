@@ -7,7 +7,7 @@ import pytest
 
 import naive_window
 
-from coldflow.telemetry import TelemetryRecord, UnsortedInput
+from coldflow.telemetry import TelemetryRecord, UnsortedInput, field_value, to_documents
 from coldflow.wrangler import (
     DEFAULT_CADENCE_S,
     DEFAULT_GAP_FACTOR,
@@ -50,7 +50,7 @@ def contiguous_stream(n, fridge="f1", start=0.0, defrost_at=()):
 
 def block(records):
     """The one fridge's FridgeSeries of a single-fridge stream."""
-    (series,) = fridge_series(records).values()
+    (series,) = fridge_series(to_documents(records)).values()
     return series
 
 
@@ -58,7 +58,7 @@ def test_fridge_series_requires_per_fridge_time_order():
     backwards = contiguous_stream(5)
     backwards[3], backwards[4] = backwards[4], backwards[3]
     with pytest.raises(UnsortedInput):
-        fridge_series(backwards)
+        fridge_series(to_documents(backwards))
 
     # Time-interleaved, and fridge-major with a later fridge starting
     # earlier: each fridge's own readings still go forwards.
@@ -66,7 +66,7 @@ def test_fridge_series_requires_per_fridge_time_order():
                          key=lambda r: r.timestamp)
     fridge_major = contiguous_stream(5, fridge="a", start=600.0) + contiguous_stream(5, fridge="b")
     for stream in (interleaved, fridge_major):
-        series = fridge_series(stream)
+        series = fridge_series(to_documents(stream))
         assert list(series) == ["a", "b"]
         assert series["b"].timestamps.tolist() == [i * 60.0 for i in range(5)]
 
@@ -82,6 +82,29 @@ def test_assemble_window_basic_and_strictness():
     assert matrix[-1, 0] == records[4].air_on_temperature
     # A copy, not a view into the block.
     assert not np.shares_memory(matrix, series.features)
+
+
+def test_fridge_series_feature_lookup_on_documents():
+    # Base fields win over derived, derived wins over extra, even when the
+    # derived value is not a number.
+    odd = (None, "n/a", True, float("inf"))
+    records = [
+        make_record(60.0 * i, air_on=3.5,
+                    derived={"air_on_temperature": 8.0, "both": 4.0, "odd": value},
+                    extra={"air_on_temperature": 9.0, "both": 2.0, "odd": 5.0,
+                           "door": 1.0})
+        for i, value in enumerate(odd + (7,))
+    ]
+    docs = to_documents(records)
+    assert field_value(docs[0], "air_on_temperature") == 3.5
+    assert field_value(docs[0], "both") == 4.0
+    assert field_value(docs[0], "odd") is None
+    assert field_value(docs[0], "absent") is None
+    names = ("air_on_temperature", "both", "door", "odd", "absent")
+    (series,) = fridge_series(docs, names).values()
+    nan = float("nan")
+    want = np.array([[3.5, 4.0, 1.0, nan, nan]] * 4 + [[3.5, 4.0, 1.0, 7.0, nan]])
+    np.testing.assert_array_equal(series.features, want)
 
 
 def test_assemble_window_rejects():
@@ -147,7 +170,8 @@ def test_array_cut_matches_record_loop():
         names = tuple(rng.sample(FEATURE_POOL, rng.randint(1, 3)))
         if rng.random() < 0.05:
             names += ("absent",)  # every window is non-finite
-        (series,) = fridge_series(records, names).values()
+        docs = to_documents(records)
+        (series,) = fridge_series(docs, names).values()
         assert not np.isinf(series.features).any()  # inf is stored as NaN
         for _ in range(60):
             if rng.random() < 0.5:
@@ -157,7 +181,7 @@ def test_array_cut_matches_record_loop():
             window_len = rng.randint(1, 64)
             defrost_free = rng.random() < 0.5
             want = naive_window.assemble_window(
-                records, boundary, window_len, names, DEFAULT_CADENCE_S,
+                docs, boundary, window_len, names, DEFAULT_CADENCE_S,
                 DEFAULT_GAP_FACTOR, require_defrost_free=defrost_free,
             )
             got = assemble_window(series, boundary, window_len,
@@ -234,7 +258,7 @@ def test_extract_handles_multiple_fridges_and_runs():
         key=lambda r: r.timestamp,
     )
     examples, rejects = [], []
-    for series in fridge_series(records).values():
+    for series in fridge_series(to_documents(records)).values():
         found, rejected = extract_defrost_examples(series, window_len=5, threshold=8.0)
         examples += found
         rejects += rejected
@@ -287,6 +311,7 @@ def test_parse_workorders():
 
 
 def fault_fixture():
+    """Three fridges' blocks over two days, and two matching work orders."""
     day = 24 * 3600
     records = []
     for fridge in ("F001", "F002", "F003"):
@@ -299,14 +324,14 @@ def fault_fixture():
         Workorder("store S01 fridge F001 icepack fault", 30 * 3600.0),
         Workorder("fridge F002 needs gas recharge", 40 * 3600.0),
     ]
-    return records, orders
+    return fridge_series(to_documents(records)), orders
 
 
 def test_merge_faults_positives_and_negative_distance():
-    records, orders = fault_fixture()
+    series, orders = fault_fixture()
     horizon = 4 * 3600.0
     examples, stats = merge_faults(
-        fridge_series(records), orders, horizon, window_len=8, patterns=PATTERNS,
+        series, orders, horizon, window_len=8, patterns=PATTERNS,
         negatives_per_positive=2.0, seed=7,
     )
     positives = [e for e in examples if e.label == "fault"]
@@ -327,10 +352,9 @@ def test_merge_faults_positives_and_negative_distance():
 
 
 def test_merge_faults_deterministic():
-    records, orders = fault_fixture()
+    series, orders = fault_fixture()
     kwargs = dict(horizon_seconds=4 * 3600.0, window_len=8, patterns=PATTERNS,
                   negatives_per_positive=3.0, seed=11)
-    series = fridge_series(records)
     first, _ = merge_faults(series, orders, **kwargs)
     second, _ = merge_faults(series, orders, **kwargs)
     assert [(e.fridge_id, e.label, e.window_end_ts) for e in first] \
@@ -341,10 +365,10 @@ def test_merge_faults_deterministic():
 
 
 def test_merge_faults_unmatched_fridge_counted():
-    records, _ = fault_fixture()
+    series, _ = fault_fixture()
     orders = [Workorder("store S09 fridge F999 icepack fault", 30 * 3600.0)]
     examples, stats = merge_faults(
-        fridge_series(records), orders, 4 * 3600.0, window_len=8, patterns=PATTERNS,
+        series, orders, 4 * 3600.0, window_len=8, patterns=PATTERNS,
         seed=1,
     )
     assert stats.positives == 0 and stats.negatives == 0
@@ -353,9 +377,9 @@ def test_merge_faults_unmatched_fridge_counted():
 
 
 def test_balance_classes():
-    records, orders = fault_fixture()
+    series, orders = fault_fixture()
     examples, _ = merge_faults(
-        fridge_series(records), orders, 4 * 3600.0, window_len=8, patterns=PATTERNS,
+        series, orders, 4 * 3600.0, window_len=8, patterns=PATTERNS,
         negatives_per_positive=5.0, seed=3,
     )
     balanced = balance_classes(examples, seed=0)
