@@ -50,6 +50,9 @@ def put_model(store, meta: dict, weights: bytes) -> str:
     Chunks of at most MODEL_CHUNK_BYTES go to ``model_chunks``; the manifest
     (chunk ids in order, total_bytes, checksum, meta) goes to ``models``.
     Re-putting identical content returns the existing id without writing.
+    The manifest is written last, so a crash between the two writes leaves
+    orphan chunks; a retry skips the chunks already stored with the same
+    content and raises ChecksumMismatch if a stored chunk differs.
     """
     from coldflow.docstore.store import NotFound
 
@@ -80,8 +83,19 @@ def put_model(store, meta: dict, weights: bytes) -> str:
                 "data": base64.b64encode(weights[lo : lo + MODEL_CHUNK_BYTES]).decode("ascii"),
             }
         )
-    if chunk_docs:
-        store.insert_many(CHUNKS_COLLECTION, chunk_docs)
+    fresh = []
+    for doc in chunk_docs:
+        try:
+            stored = store.get(CHUNKS_COLLECTION, doc["_id"])
+        except NotFound:
+            fresh.append(doc)
+            continue
+        if stored != doc:
+            raise ChecksumMismatch(
+                f"model {model_id}: stored chunk {doc['_id']} has different content"
+            )
+    if fresh:
+        store.insert_many(CHUNKS_COLLECTION, fresh)
     store.insert_many(
         MODELS_COLLECTION,
         [

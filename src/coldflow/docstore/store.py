@@ -9,6 +9,9 @@ the directory, nothing more. A collection's file is parsed the first time
 the handle touches that collection (``get``, ``count``, ``aggregate``,
 ``find_all``, ``create_index`` or ``insert_many``), so a task pays only for
 what it reads, and a corrupt file raises CorruptCollection at that touch.
+A final line without its newline is an append cut short by a crash: a
+writer handle truncates it at first touch and a reader skips it, and both
+log a warning.
 
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
@@ -233,20 +236,33 @@ class DocumentStore:
         if coll is None:
             file_path = self._file_for(name)
             with self._append_mutex or contextlib.nullcontext():
-                coll = self._load_collection(name, file_path)
+                coll = self._load_collection(name, file_path, not self.read_only)
             self._collections[name] = coll
         return coll
 
     @staticmethod
-    def _load_collection(name: str, file_path: str) -> _Collection:
+    def _load_collection(name: str, file_path: str, writer: bool) -> _Collection:
+        """Parse one collection file. Every append ends in a newline, so a
+        final line without one is a write that never completed: a writer
+        truncates it away, a reader skips it; both log it."""
         coll = _Collection(name)
         try:
-            fh = open(file_path, encoding="utf-8")
+            fh = open(file_path, "rb")
         except FileNotFoundError:
             return coll
         with fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
+            for line_no, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):
+                    if writer:
+                        os.truncate(file_path, os.path.getsize(file_path) - len(raw))
+                    log.warning("%s:%d: %s an incomplete final line (%d bytes)",
+                                file_path, line_no,
+                                "truncated" if writer else "skipped", len(raw))
+                    break
+                try:
+                    line = raw[:-1].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorruptCollection(file_path, line_no, str(exc)) from None
                 if not line:
                     continue
                 doc = parse_document_line(line, file_path, line_no)

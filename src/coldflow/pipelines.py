@@ -19,12 +19,15 @@ Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
 hands each worker the store path and the validated config. The one
 wrangle task builds each fridge's block once, from its stored telemetry
-documents, and cuts both kinds of example from the blocks.
+documents, and cuts both kinds of example from the blocks. Ingest also
+writes each fridge batch's peak power to ``fridge_ratings``, so selection
+reads a few small documents and never parses telemetry.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -55,6 +58,7 @@ from coldflow.wrangler import (
 log = logging.getLogger(__name__)
 
 TELEMETRY = "telemetry"
+FRIDGE_RATINGS = "fridge_ratings"
 WORKORDERS = "workorders"
 DSR_EXAMPLES = "dsr_examples"
 FAULT_EXAMPLES = "fault_examples"
@@ -91,9 +95,36 @@ def insert_new(store, collection: str, docs: list[dict]) -> tuple[int, int]:
 
 
 def ingest_records(store, records, setpoints: Setpoints) -> tuple[int, int]:
-    """Derive per-record features and store telemetry documents."""
+    """Derive per-record features and store telemetry documents, then one
+    rating per fridge of the batch. Returns the telemetry (inserted, skipped).
+
+    A rating holds the batch's peak numeric ``extra.power_kw`` (None when
+    it has none). Its _id names the fridge, the batch's first and last
+    timestamps and its reading count, so re-ingesting the same batch writes
+    nothing, while a grown file, another batch, or a retry after a crash
+    between the two writes each stores its own rating.
+    """
     derived = derive_features(records, setpoints)
-    return insert_new(store, TELEMETRY, to_documents(derived))
+    counts = insert_new(store, TELEMETRY, to_documents(derived))
+    insert_new(store, FRIDGE_RATINGS, _rating_docs(records))
+    return counts
+
+
+def _rating_docs(records) -> list[dict]:
+    docs = []
+    for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
+        group = list(group)
+        powers = [
+            value for value in (r.extra.get("power_kw") for r in group)
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        ]
+        docs.append({
+            "_id": f"rating:{fid}:{group[0].timestamp!r}:{group[-1].timestamp!r}:"
+                   f"{len(group)}",
+            "fridge_id": fid,
+            "peak_power_kw": max(powers, default=None),
+        })
+    return docs
 
 
 def ingest_workorders(store, orders) -> tuple[int, int]:
@@ -465,7 +496,9 @@ def select_dsr(store, config: dict) -> dict:
 
     One candidate per fridge: its most recent prediction on the configured
     split, eligible only if the predicted safe-off time clears the floor.
-    Fridge power ratings come from the telemetry's own power channel.
+    A fridge's power is the highest peak among its ``fridge_ratings``
+    documents, written at ingest, or 0.0 kW when no batch had a numeric
+    power reading. A predicted fridge with no rating raises PipelineError.
     """
     s = config["select"]
     if s is None:
@@ -483,10 +516,15 @@ def select_dsr(store, config: dict) -> dict:
 
     power = {
         g["_id"]: g["kw"]
-        for g in store.aggregate(TELEMETRY, [
-            {"$group": {"_id": "$fridge_id", "kw": {"$max": "$extra.power_kw"}}}
+        for g in store.aggregate(FRIDGE_RATINGS, [
+            {"$group": {"_id": "$fridge_id", "kw": {"$max": "$peak_power_kw"}}}
         ])
     }
+    unrated = sorted(set(latest) - set(power))
+    if unrated:
+        raise PipelineError(
+            f"select: no power rating for fridge {', '.join(unrated)}; re-run "
+            "`coldflow ingest` on its telemetry to write its rating")
     candidates = []
     for fid in sorted(latest):
         doc = latest[fid]
@@ -494,7 +532,7 @@ def select_dsr(store, config: dict) -> dict:
             continue
         candidates.append({
             "fridge_id": fid,
-            "power_kw": float(power.get(fid, 0.0)),
+            "power_kw": float(power[fid] or 0.0),
             "predicted_safe_off_s": doc["predicted_safe_off_s"],
             "example_id": doc["example_id"],
         })

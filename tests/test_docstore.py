@@ -143,6 +143,55 @@ def test_corrupt_line_reported_with_position(tmp_path):
     assert err.value.line_no == 2
 
 
+def torn_store(tmp_path):
+    """A store whose last append was cut short mid-line; returns the file
+    and its bytes up to the last complete line."""
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": "a", "v": 1}, {"_id": "b", "v": 2}])
+        store.insert_many("t", [{"_id": "c", "v": 3}])
+    path = tmp_path / "s" / "t.ndjson"
+    data = path.read_bytes()
+    complete = data[: data.index(b'{"_id":"c"')]
+    path.write_bytes(data[:-7])
+    return path, complete
+
+
+def test_torn_tail_truncated_by_writer_first_touch(tmp_path, caplog):
+    path, complete = torn_store(tmp_path)
+    with open_store(tmp_path / "s") as store:
+        assert [d["_id"] for d in store.find_all("t")] == ["a", "b"]
+        assert path.read_bytes() == complete
+        store.insert_many("t", [{"_id": "c", "v": 3}])
+    assert "truncated an incomplete final line" in caplog.text
+    assert "t.ndjson:3" in caplog.text
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert [d["_id"] for d in store.find_all("t")] == ["a", "b", "c"]
+
+
+def test_torn_tail_skipped_by_reader(tmp_path, caplog):
+    path, complete = torn_store(tmp_path)
+    torn = path.read_bytes()
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert [d["_id"] for d in store.find_all("t")] == ["a", "b"]
+    assert path.read_bytes() == torn
+    assert "skipped an incomplete final line" in caplog.text
+
+
+def test_torn_multibyte_tail_and_bad_utf8_line(tmp_path):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": "a"}, {"_id": "b", "name": "K\u00fchlregal"}])
+    path = tmp_path / "s" / "t.ndjson"
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index("\u00fc".encode()) + 1])  # cut inside the umlaut
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.count("t") == 1
+    path.write_bytes(b'{"_id":"a"}\n{"_id":"\xff"}\n')
+    with open_store(tmp_path / "s", read_only=True) as store:
+        with pytest.raises(CorruptCollection) as err:
+            store.count("t")
+    assert err.value.line_no == 2
+
+
 def test_duplicate_key_within_object_is_corrupt(tmp_path):
     store_dir = tmp_path / "s"
     store_dir.mkdir()
@@ -423,6 +472,43 @@ def test_tampered_chunk_detected(tmp_path):
     with open_store(tmp_path / "s", read_only=True) as store:
         with pytest.raises(ChecksumMismatch):
             store.get_model(model_id)
+
+
+def orphan_chunks(tmp_path, data):
+    """A store holding a model's chunks but no manifest, as a crash
+    between put_model's two writes leaves it; returns the chunk file."""
+    with open_store(tmp_path / "whole") as store:
+        store.put_model({"kind": "m"}, data)
+    (tmp_path / "s").mkdir()
+    chunks = tmp_path / "s" / "model_chunks.ndjson"
+    chunks.write_bytes((tmp_path / "whole" / "model_chunks.ndjson").read_bytes())
+    return chunks
+
+
+def test_put_model_retry_after_orphan_chunks(tmp_path):
+    data = blob_of(MODEL_CHUNK_BYTES + 512)
+    chunks = orphan_chunks(tmp_path, data)
+    before = chunks.read_bytes()
+    with open_store(tmp_path / "s") as store:
+        model_id = store.put_model({"kind": "m"}, data)
+        meta, back = store.get_model(model_id)
+        assert store.count("models") == 1
+    assert (meta, back) == ({"kind": "m"}, data)
+    assert chunks.read_bytes() == before
+
+
+def test_put_model_retry_rejects_a_differing_orphan_chunk(tmp_path):
+    data = blob_of(MODEL_CHUNK_BYTES + 512)
+    chunks = orphan_chunks(tmp_path, data)
+    lines = chunks.read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["data"] = "AAAA" + doc["data"][4:]
+    lines[1] = canonical_dumps(doc)
+    chunks.write_text("\n".join(lines) + "\n")
+    with open_store(tmp_path / "s") as store:
+        with pytest.raises(ChecksumMismatch):
+            store.put_model({"kind": "m"}, data)
+        assert store.count("models") == 0
 
 
 def test_unknown_model_raises_not_found(tmp_path):

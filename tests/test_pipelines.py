@@ -207,10 +207,10 @@ def test_select_dsr_latest_window_and_floor(tmp_path):
                    "split": "test", "tag": "t"},
     })
     with open_store(str(tmp_path / "s")) as store:
-        store.insert_many("telemetry", [
-            {"_id": "A:1", "fridge_id": "A", "extra": {"power_kw": 3.0}},
-            {"_id": "B:1", "fridge_id": "B", "extra": {"power_kw": 2.0}},
-            {"_id": "C:1", "fridge_id": "C", "extra": {"power_kw": 1.0}},
+        store.insert_many("fridge_ratings", [
+            {"_id": "rating:A", "fridge_id": "A", "peak_power_kw": 3.0},
+            {"_id": "rating:B", "fridge_id": "B", "peak_power_kw": 2.0},
+            {"_id": "rating:C", "fridge_id": "C", "peak_power_kw": 1.0},
         ])
         base = {"model_name": "m", "split": "test", "example_id": "x"}
         store.insert_many("predictions", [
@@ -229,6 +229,103 @@ def test_select_dsr_latest_window_and_floor(tmp_path):
     assert doc["total_kw"] == pytest.approx(3.0)
     assert doc["feasible"] is True
     assert doc["candidates_considered"] == 2
+
+
+SELECT_CFG = {"model": "m", "target_kw": 100.0, "min_safe_off_s": 0.0,
+              "split": "test", "tag": "t"}
+SETPOINTS = Setpoints(3.0, 1.0)
+
+
+def power_readings(fridge, power, start=0):
+    """One reading per minute from ``start``, power_kw from the list
+    (None leaves the reading without one)."""
+    return [TelemetryRecord(timestamp=60.0 * (start + i), fridge_id=fridge,
+                            store_id="S0", air_on_temperature=3.0,
+                            air_off_temperature=1.0, defrost_state=0,
+                            extra={} if kw is None else {"power_kw": kw})
+            for i, kw in enumerate(power)]
+
+
+def predict(store, *fridges):
+    store.insert_many("predictions", [
+        {"_id": f"p:{fid}", "model_name": "m", "split": "test", "example_id": "x",
+         "fridge_id": fid, "window_end_ts": 1.0, "predicted_safe_off_s": 500.0}
+        for fid in fridges
+    ])
+
+
+def chosen_power(store) -> dict:
+    cfg = validate_config({"seed": 1, "select": SELECT_CFG})
+    return {c["fridge_id"]: c["power_kw"]
+            for c in pipelines.select_dsr(store, cfg)["chosen"]}
+
+
+def test_ratings_take_the_peak_over_batches_and_a_grown_file(tmp_path):
+    rng = random.Random(8)
+    power = [round(rng.uniform(0.0, 3.0), 6) for _ in range(60)]
+    power[33] = 3.5   # peak of the second batch
+    power[51] = 4.25  # only in the grown file
+    with open_store(str(tmp_path / "s")) as store:
+        predict(store, "F0")
+        pipelines.ingest_records(store, power_readings("F0", power[:20]), SETPOINTS)
+        assert chosen_power(store) == {"F0": max(power[:20])}
+        pipelines.ingest_records(store, power_readings("F0", power[20:40], start=20),
+                                 SETPOINTS)
+        assert chosen_power(store) == {"F0": 3.5}
+        inserted, skipped = pipelines.ingest_records(
+            store, power_readings("F0", power), SETPOINTS)
+        assert (inserted, skipped) == (20, 40)
+        assert chosen_power(store) == {"F0": 4.25}
+        assert sorted(d["_id"] for d in store.find_all("fridge_ratings")) == [
+            "rating:F0:0.0:1140.0:20",
+            "rating:F0:0.0:3540.0:60",
+            "rating:F0:1200.0:2340.0:20",
+        ]
+
+
+def test_reingesting_identical_data_writes_nothing(tmp_path):
+    path = tmp_path / "s"
+    batches = [power_readings("F0", [1.5, 2.5, 0.0]), power_readings("F1", [None, None]),
+               power_readings("F1", [0.5], start=2)]
+
+    def ingest():
+        with open_store(str(path)) as store:
+            for batch in batches:
+                pipelines.ingest_records(store, batch, SETPOINTS)
+            pipelines.ingest_workorders(store, [("fault", 30.0)])
+        return {f.name: f.read_bytes() for f in path.glob("*.ndjson")}
+
+    first = ingest()
+    assert {"telemetry.ndjson", "fridge_ratings.ndjson"} <= set(first)
+    assert ingest() == first
+
+
+def test_select_dsr_never_parses_telemetry(tmp_path):
+    with open_store(str(tmp_path / "s")) as store:
+        pipelines.ingest_records(store, power_readings("F0", [1.0, 2.0]), SETPOINTS)
+        predict(store, "F0")
+    (tmp_path / "s" / "telemetry.ndjson").write_text("{not json\n")
+    with open_store(str(tmp_path / "s")) as store:
+        assert chosen_power(store) == {"F0": 2.0}
+
+
+def test_select_dsr_fridge_without_numeric_power_is_zero_kw(tmp_path):
+    with open_store(str(tmp_path / "s")) as store:
+        # No power channel, a text value and a bool: none is a number.
+        pipelines.ingest_records(store, power_readings("F0", [None, "n/a", True]),
+                                 SETPOINTS)
+        pipelines.ingest_records(store, power_readings("F1", [2.0]), SETPOINTS)
+        predict(store, "F0", "F1")
+        assert store.find_all("fridge_ratings")[0]["peak_power_kw"] is None
+        assert chosen_power(store) == {"F0": 0.0, "F1": 2.0}
+
+
+def test_select_dsr_unrated_fridge_raises(tmp_path):
+    with open_store(str(tmp_path / "s")) as store:
+        pipelines.ingest_records(store, power_readings("F0", [1.0]), SETPOINTS)
+        predict(store, "F0", "F7")
+        with pytest.raises(PipelineError, match=r"F7.*coldflow ingest"):
+            chosen_power(store)
 
 
 def test_report_baseline_and_improvement(project):
