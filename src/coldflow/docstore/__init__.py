@@ -6,7 +6,9 @@ enforced through an advisory lock file; readers open without locking. A
 collection is parsed when a handle first touches it, and the handle sees what
 was flushed by then plus its own writes. Aggregation pipelines use the familiar
 list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
-explicitly documented subset of operators. Large binary model artifacts are
+explicitly documented subset of operators; ``aggregate`` and ``find_all``
+return copies, while ``scan`` returns a collection's stored documents
+uncopied, for read-only passes. Large binary model artifacts are
 chunked into a companion collection with a manifest and checksum.
 """
 

@@ -34,19 +34,23 @@ def canonical_dumps(value: Any) -> str:
     Keys sorted, compact separators, UTF-8 passthrough, non-finite floats
     rejected. Parsing the result and dumping it again yields the same bytes.
     """
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    )
+    return _ENCODER.encode(value)
+
+
+# One encoder for every call: json.dumps with arguments builds a new one per call.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
 
 
 def _no_duplicate_keys(pairs):
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ValueError(f"duplicate key {key!r} within one object")
-        seen.add(key)
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} within one object")
+            seen.add(key)
     return out
 
 

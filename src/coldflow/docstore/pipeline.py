@@ -289,7 +289,9 @@ def _eval_project(docs, body):
     return out_docs
 
 
-def _sort_key_for(doc, field):
+def sort_key_for(doc, field):
+    """The key ``$sort`` orders documents by on one field: missing, then
+    null, bool, number and string, each naturally within its type."""
     found, value = get_path(doc, field)
     if not found:
         return (0,)
@@ -305,7 +307,7 @@ def _eval_sort(docs, body):
     out = list(docs)
     # Last key first: repeated stable sorts realize multi-key significance.
     for field, direction in reversed(list(body.items())):
-        out.sort(key=lambda d: _sort_key_for(d, field), reverse=direction == -1)
+        out.sort(key=lambda d: sort_key_for(d, field), reverse=direction == -1)
     return out
 
 

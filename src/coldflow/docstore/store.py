@@ -6,12 +6,17 @@ order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
 
 Collections load lazily: opening a store takes the lock (writers) and lists
 the directory, nothing more. A collection's file is parsed the first time
-the handle touches that collection (``get``, ``count``, ``aggregate``,
-``find_all``, ``create_index`` or ``insert_many``), so a task pays only for
-what it reads, and a corrupt file raises CorruptCollection at that touch.
-A final line without its newline is an append cut short by a crash: a
-writer handle truncates it at first touch and a reader skips it, and both
-log a warning.
+the handle touches that collection (``get``, ``has``, ``count``, ``scan``,
+``aggregate``, ``find_all``, ``create_index`` or ``insert_many``), so a task
+pays only for what it reads, and a corrupt file raises CorruptCollection at
+that touch. A final line without its newline is an append cut short by a
+crash: a writer handle truncates it at first touch and a reader skips it,
+and both log a warning.
+
+Reads: ``get``, ``aggregate`` and ``find_all`` return copies the caller may
+change. ``scan`` returns the stored documents themselves, uncopied, for
+read-only passes over a whole collection; changing one would change what
+this handle reads later without changing the file.
 
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
@@ -335,6 +340,22 @@ class DocumentStore:
             if doc_id not in coll.by_id:
                 raise NotFound(f"{collection}/{doc_id}")
             return dict(coll.docs[coll.by_id[doc_id]])
+
+    def has(self, collection: str, doc_id: str) -> bool:
+        """Whether the collection holds a document with this _id."""
+        with self._state_lock:
+            return doc_id in self._touch(collection).by_id
+
+    def scan(self, collection: str) -> list[dict]:
+        """The collection's documents in insertion order, uncopied.
+
+        A new list of the stored dicts themselves, so a scan costs no copy
+        of any document. Callers must treat every document as read-only: a
+        change would reach this handle's later reads but not the file.
+        ``aggregate`` and ``find_all`` return copies.
+        """
+        with self._state_lock:
+            return list(self._touch(collection).docs)
 
     def create_index(self, collection: str, field_path: str):
         """Declare a hash index over a dotted path; built immediately.

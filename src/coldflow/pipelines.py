@@ -18,8 +18,9 @@ trainings finish, so those files hold the same lines in either order.
 Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
 hands each worker the store path and the validated config. The one
-wrangle task builds each fridge's block once, from its stored telemetry
-documents, and cuts both kinds of example from the blocks. Ingest also
+wrangle task builds every fridge's block in one uncopied scan of the
+stored telemetry documents, with no index or per-fridge query, and cuts
+both kinds of example from the blocks. Ingest also
 writes each fridge batch's peak power to ``fridge_ratings``, so selection
 reads a few small documents and never parses telemetry.
 """
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coldflow.docstore import NotFound, canonical_dumps, open_store
+from coldflow.docstore import canonical_dumps, open_store
+from coldflow.docstore.pipeline import sort_key_for
 from coldflow.fridgesim import (
     SimConfig,
     fleet_specs,
@@ -78,17 +80,10 @@ def insert_new(store, collection: str, docs: list[dict]) -> tuple[int, int]:
     Returns (inserted, skipped). With deterministic ids this makes every
     writer task idempotent: a re-run finds its output already there.
     """
-    fresh = []
-    skipped = 0
-    for doc in docs:
-        try:
-            store.get(collection, doc["_id"])
-            skipped += 1
-        except NotFound:
-            fresh.append(doc)
+    fresh = [doc for doc in docs if not store.has(collection, doc["_id"])]
     if fresh:
         store.insert_many(collection, fresh)
-    return len(fresh), skipped
+    return len(fresh), len(docs) - len(fresh)
 
 
 # ---------------------------------------------------------------- ingest
@@ -138,19 +133,15 @@ def ingest_workorders(store, orders) -> tuple[int, int]:
 
 
 def telemetry_blocks(store, feature_names) -> dict:
-    """Every fridge's FridgeSeries, keyed in sorted fridge-id order. Each is
-    built from its fridge's documents, read through the fridge_id index in
-    time order, so one fridge's copies are held at a time."""
-    groups = store.aggregate(TELEMETRY, [{"$group": {"_id": "$fridge_id"}}])
-    store.create_index(TELEMETRY, "fridge_id")
-    blocks = {}
-    for fid in sorted(g["_id"] for g in groups):
-        docs = store.aggregate(
-            TELEMETRY,
-            [{"$match": {"fridge_id": fid}}, {"$sort": {"timestamp": 1}}],
-        )
-        blocks.update(fridge_series(docs, feature_names))
-    return blocks
+    """Every fridge's FridgeSeries, keyed in sorted fridge-id order.
+
+    One uncopied scan of the stored documents, stable-sorted by timestamp
+    in the order ``$sort`` uses and then by fridge id, so each fridge's
+    readings run forwards in time even from a batch ingested out of order.
+    """
+    docs = sorted(store.scan(TELEMETRY), key=lambda doc: sort_key_for(doc, "timestamp"))
+    docs.sort(key=lambda doc: doc["fridge_id"])
+    return fridge_series(docs, feature_names)
 
 
 # --------------------------------------------------------------- wrangle

@@ -106,39 +106,51 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
             raise MissingColumn(f"required column {column!r} not in header")
 
     mapped = {column for column in schema.columns.values()}
-    extra_columns = [name for name in header if name not in mapped]
+    extra_columns = [(name, positions[name]) for name in header if name not in mapped]
+    # Positions are resolved once. The checks run in a fixed order
+    # (timestamp, air_on, air_off, defrost, fridge id), so a row with
+    # several bad fields is always rejected for the first.
+    at_ts, at_on, at_off, at_defrost = (
+        positions[schema.columns[canonical]] for canonical in CsvSchema.REQUIRED
+    )
+    at_fridge = at_store = default_fridge = None
+    if "fridge_id" in schema.columns:
+        at_fridge = positions[schema.columns["fridge_id"]]
+    else:
+        default_fridge = str(schema.defaults["fridge_id"])
+    if "store_id" in schema.columns:
+        at_store = positions[schema.columns["store_id"]]
+    default_store = schema.defaults.get("store_id")
 
     records: list[TelemetryRecord] = []
     rejects: list[RejectedRow] = []
     for row_no, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):
             continue
         try:
-            cell = lambda canonical: row[positions[schema.columns[canonical]]].strip()
-            timestamp = _parse_float(cell("timestamp"))
-            air_on = _parse_float(cell("air_on"))
-            air_off = _parse_float(cell("air_off"))
-            defrost_raw = _parse_float(cell("defrost"))
+            timestamp = _parse_float(row[at_ts].strip())
+            air_on = _parse_float(row[at_on].strip())
+            air_off = _parse_float(row[at_off].strip())
+            defrost_raw = _parse_float(row[at_defrost].strip())
             defrost = int(defrost_raw)
             if defrost != defrost_raw or defrost not in (0, 1):
                 raise ValueError(f"defrost flag {defrost_raw!r} not in {{0, 1}}")
-            if "fridge_id" in schema.columns:
-                fridge_id = cell("fridge_id")
+            if at_fridge is None:
+                fridge_id = default_fridge
+            else:
+                fridge_id = row[at_fridge].strip()
                 if not fridge_id:
                     raise ValueError("empty fridge id")
+            if at_store is None:
+                store_id = default_store
             else:
-                fridge_id = str(schema.defaults["fridge_id"])
-            if "store_id" in schema.columns:
-                store_id = cell("store_id") or None
-            else:
-                store_id = schema.defaults.get("store_id")
+                store_id = row[at_store].strip() or None
         except (ValueError, IndexError) as exc:
             rejects.append(RejectedRow(row=row_no, reason=str(exc)))
             continue
 
         extra = {}
-        for name in extra_columns:
-            position = positions[name]
+        for name, position in extra_columns:
             raw = row[position].strip() if position < len(row) else ""
             try:
                 extra[name] = _parse_float(raw)

@@ -1,0 +1,101 @@
+"""Naive reference for CSV ingestion.
+
+The parser telemetry ingest used before it resolved column positions once:
+it looks every required cell up by name, through a per-row lambda and the
+schema's column map. Used as the oracle in the parser equivalence test.
+"""
+
+import csv
+import io
+import math
+
+from coldflow.telemetry import CsvSchema, MissingColumn, RejectedRow, TelemetryRecord
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def parse_telemetry_csv(text: str, schema: CsvSchema):
+    """Parse CSV text into records plus per-row rejects.
+
+    Returns ``(records, rejects)``. Unparseable required fields reject the
+    whole row with its 1-based data-row number (header not counted); other
+    rows are unaffected. Raises MissingColumn when a required mapped column
+    is missing from the header entirely.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumn("empty CSV: no header row") from None
+    header = [h.strip() for h in header]
+    positions = {name: i for i, name in enumerate(header)}
+
+    for canonical in CsvSchema.REQUIRED:
+        column = schema.columns.get(canonical)
+        if column is None:
+            raise MissingColumn(f"schema maps no column for required field {canonical!r}")
+        if column not in positions:
+            raise MissingColumn(f"required column {column!r} not in header")
+    if "fridge_id" not in schema.columns and "fridge_id" not in schema.defaults:
+        raise MissingColumn("schema provides neither a fridge_id column nor a default")
+    for canonical in ("fridge_id", "store_id"):
+        column = schema.columns.get(canonical)
+        if column is not None and column not in positions:
+            raise MissingColumn(f"required column {column!r} not in header")
+
+    mapped = {column for column in schema.columns.values()}
+    extra_columns = [name for name in header if name not in mapped]
+
+    records: list[TelemetryRecord] = []
+    rejects: list[RejectedRow] = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            cell = lambda canonical: row[positions[schema.columns[canonical]]].strip()
+            timestamp = _parse_float(cell("timestamp"))
+            air_on = _parse_float(cell("air_on"))
+            air_off = _parse_float(cell("air_off"))
+            defrost_raw = _parse_float(cell("defrost"))
+            defrost = int(defrost_raw)
+            if defrost != defrost_raw or defrost not in (0, 1):
+                raise ValueError(f"defrost flag {defrost_raw!r} not in {{0, 1}}")
+            if "fridge_id" in schema.columns:
+                fridge_id = cell("fridge_id")
+                if not fridge_id:
+                    raise ValueError("empty fridge id")
+            else:
+                fridge_id = str(schema.defaults["fridge_id"])
+            if "store_id" in schema.columns:
+                store_id = cell("store_id") or None
+            else:
+                store_id = schema.defaults.get("store_id")
+        except (ValueError, IndexError) as exc:
+            rejects.append(RejectedRow(row=row_no, reason=str(exc)))
+            continue
+
+        extra = {}
+        for name in extra_columns:
+            position = positions[name]
+            raw = row[position].strip() if position < len(row) else ""
+            try:
+                extra[name] = _parse_float(raw)
+            except ValueError:
+                extra[name] = raw
+        records.append(
+            TelemetryRecord(
+                timestamp=timestamp,
+                fridge_id=fridge_id,
+                store_id=store_id,
+                air_on_temperature=air_on,
+                air_off_temperature=air_off,
+                defrost_state=defrost,
+                extra=extra,
+            )
+        )
+    return records, rejects

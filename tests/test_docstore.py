@@ -1,7 +1,9 @@
 """Store mechanics: persistence, locking, batch atomicity, indexes, blobs."""
 
 import json
+import math
 import os
+import random
 import sys
 import threading
 
@@ -407,6 +409,95 @@ def test_get_not_found(tmp_path):
     with open_store(tmp_path / "s") as store:
         with pytest.raises(NotFound):
             store.get("t", "missing")
+
+
+def test_duplicate_key_reason_names_the_key():
+    with pytest.raises(CorruptCollection) as err:
+        parse_document_line('{"_id":"a","m":{"j":0,"k":1,"k":2},"n":3}')
+    assert err.value.reason == "duplicate key 'k' within one object"
+
+
+def _json_value(rng, depth):
+    text = "".join(rng.choice("aZ é中€\n\"\\\x00 😀") for _ in range(rng.randrange(6)))
+    scalars = [
+        None, True, False, text, -0.0, 0.0, 1e-320, 1.7976931348623157e308,
+        rng.uniform(-1e6, 1e6), rng.randrange(-10**6, 10**6), 2**63, -(10**40),
+    ]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(scalars)
+    if rng.random() < 0.5:
+        return [_json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {f"{text}{i}": _json_value(rng, depth - 1) for i in range(rng.randrange(4))}
+
+
+def test_canonical_dumps_matches_json_dumps():
+    rng = random.Random(7)
+    corpus = [_json_value(rng, 4) for _ in range(2000)]
+    corpus += [{}, [], {"a": {}, "b": []}, -0.0, 10**30, "é中😀", {"z": 1, "a": [True, 1.5]}]
+    for value in corpus:
+        assert canonical_dumps(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+            allow_nan=False,
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_rejects_the_batch(tmp_path, bad):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": "keep", "v": 1.0}])
+        before = (tmp_path / "s" / "t.ndjson").read_bytes()
+        for doc in ({"_id": "x", "v": bad}, {"_id": "x", "m": {"v": [0.0, bad]}}):
+            with pytest.raises(ValueError):
+                store.insert_many("t", [{"_id": "ok"}, doc])
+        assert (tmp_path / "s" / "t.ndjson").read_bytes() == before
+        assert not store.has("t", "ok")
+        assert store.count("t") == 1
+
+
+def test_scan_and_has_on_a_missing_collection(tmp_path):
+    with open_store(tmp_path / "s") as store:
+        assert store.scan("t") == []
+        assert not store.has("t", "a")
+    assert not (tmp_path / "s" / "t.ndjson").exists()
+
+
+def test_scan_returns_stored_documents_in_insertion_order(tmp_path):
+    docs = [{"_id": f"d{i}", "v": (i * 7) % 5} for i in (3, 1, 4, 0, 2)]
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", docs[:3])
+        store.insert_many("t", docs[3:])
+        scanned = store.scan("t")
+        assert scanned == docs
+        # The stored dicts themselves, in a new list.
+        assert all(a is b for a, b in zip(scanned, store.scan("t")))
+        scanned.pop()
+        assert store.count("t") == 5
+        assert all(store.has("t", d["_id"]) for d in docs)
+        assert not store.has("t", "d9")
+    with open_store(tmp_path / "s", read_only=True) as reader:
+        assert reader.scan("t") == docs
+
+
+def test_scan_and_has_see_first_touch_plus_own_writes(tmp_path):
+    writer = open_store(tmp_path / "s")
+    reader = open_store(tmp_path / "s", read_only=True)
+    try:
+        writer.insert_many("t", [{"_id": "a"}])
+        # The reader's first touch is now: it sees the flushed batch.
+        assert reader.has("t", "a")
+        writer.insert_many("t", [{"_id": "b"}])
+        assert not reader.has("t", "b")
+        assert [d["_id"] for d in reader.scan("t")] == ["a"]
+        assert [d["_id"] for d in writer.scan("t")] == ["a", "b"]
+    finally:
+        reader.close()
+        writer.close()
+    with open(tmp_path / "s" / "u.ndjson", "w") as fh:
+        fh.write("{not json\n")
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.has("t", "b")
+        with pytest.raises(CorruptCollection):
+            store.scan("u")
 
 
 def blob_of(n_bytes: int) -> bytes:

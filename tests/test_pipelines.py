@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from coldflow import pipelines
@@ -17,6 +18,7 @@ from coldflow.pipelines import (
 )
 from coldflow.runconfig import validate_config
 from coldflow.telemetry import Setpoints, TelemetryRecord
+from coldflow.wrangler import fridge_series
 
 
 DSR0 = {"name": "dsr0", "task": "regression", "cell": "rnn",
@@ -99,6 +101,75 @@ def test_telemetry_blocks_sort_out_of_order_batches(tmp_path):
     assert got.features.tobytes() == want.features.tobytes()
     assert got.defrost.tobytes() == want.defrost.tobytes()
     assert got.store_ids == want.store_ids
+
+
+def blocks_through_group_match_sort(store, feature_names) -> dict:
+    """The former telemetry_blocks, kept as the reference: a $group for the
+    fridge ids, then an indexed $match and a $sort per fridge, each
+    aggregate returning copies."""
+    groups = store.aggregate(pipelines.TELEMETRY, [{"$group": {"_id": "$fridge_id"}}])
+    store.create_index(pipelines.TELEMETRY, "fridge_id")
+    blocks = {}
+    for fid in sorted(g["_id"] for g in groups):
+        docs = store.aggregate(
+            pipelines.TELEMETRY,
+            [{"$match": {"fridge_id": fid}}, {"$sort": {"timestamp": 1}}],
+        )
+        blocks.update(fridge_series(docs, feature_names))
+    return blocks
+
+
+def test_telemetry_blocks_match_the_group_match_sort_path(tmp_path):
+    # Interleaved fridges in out-of-order batches, int and float timestamps
+    # (some equal across types, so the sort's stability shows), odd
+    # feature values, and one fridge whose timestamps are not all numbers.
+    rng = random.Random(5)
+    docs = []
+    for i in range(400):
+        fid = rng.choice(["F2", "F0", "F10", "F1"])
+        stamp = rng.choice([60 * i, 60.0 * i, 60 * (i - i % 3), 60.5 * (i % 50)])
+        docs.append({
+            "_id": f"{fid}:{i}", "fridge_id": fid, "store_id": rng.choice(["S0", "S1", None]),
+            "timestamp": stamp, "defrost_state": rng.choice([0, 1]),
+            "air_on_temperature": rng.choice([rng.uniform(-5, 5), 3, None, "warm", True]),
+            "air_off_temperature": rng.uniform(-5, 5),
+            "derived": rng.choice([{"air_on_diff": rng.uniform(-1, 1)}, {}]),
+            "extra": rng.choice([{"power_kw": 2}, {"power_kw": "x"}, {}]),
+        })
+    # $sort puts null, then bools, before every number.
+    odd = {"F9": [None, True, 30, "45", 15.0, False, 30.0], "F8": [30, 1, 1.5, False, True]}
+    docs += [{"_id": f"{fid}:{i}", "fridge_id": fid, "store_id": "S2", "timestamp": stamp,
+              "defrost_state": 0, "air_on_temperature": float(i), "air_off_temperature": 2.0}
+             for fid, stamps in odd.items() for i, stamp in enumerate(stamps)]
+    batches = [docs[i:i + 37] for i in range(0, len(docs), 37)]
+    rng.shuffle(batches)
+    with open_store(str(tmp_path / "s")) as store:
+        for batch in batches:
+            store.insert_many(pipelines.TELEMETRY, batch)
+    names = ("air_on_temperature", "air_off_temperature", "air_on_diff", "power_kw")
+    with open_store(str(tmp_path / "s"), read_only=True) as store:
+        got = pipelines.telemetry_blocks(store, names)
+    with open_store(str(tmp_path / "s"), read_only=True) as store:
+        want = blocks_through_group_match_sort(store, names)
+    assert list(got) == list(want) == ["F0", "F1", "F10", "F2", "F8", "F9"]
+    assert np.isnan(want["F9"].timestamps[0])
+    assert want["F8"].features[:, 0].tolist() == [3.0, 4.0, 1.0, 2.0, 0.0]
+    assert np.isnan(want["F0"].features).any()
+    for fid, block in want.items():
+        assert got[fid].fridge_id == fid
+        assert got[fid].feature_names == block.feature_names
+        for field in ("timestamps", "defrost", "features"):
+            assert getattr(got[fid], field).tobytes() == getattr(block, field).tobytes()
+        assert got[fid].store_ids == block.store_ids
+
+
+def test_wrangle_leaves_stored_telemetry_unchanged(project):
+    path, cfg = project
+    with open_store(path) as store:
+        before = [canonical_dumps(doc) for doc in store.scan(pipelines.TELEMETRY)]
+        pipelines.wrangle(store, cfg)
+        after = [canonical_dumps(doc) for doc in store.scan(pipelines.TELEMETRY)]
+    assert before and after == before
 
 
 def test_wrangle_dsr_event_level_split(project):

@@ -1,6 +1,10 @@
 """CSV ingestion, derived features and document round trips."""
 
+import random
+
 import pytest
+
+import naive_csv
 
 from coldflow.docstore import open_store
 from coldflow.telemetry import (
@@ -82,6 +86,104 @@ def test_missing_required_column_raises():
             CsvSchema(columns={"timestamp": "ts", "air_on": "on",
                                "air_off": "off", "defrost": "d"}),
         )
+
+
+GOOD = ["1.5", " 2.25 ", "-3", "0", "1e3", "7.000000000000001"]
+NON_FINITE = ["nan", "inf", " -Infinity", "NaN"]
+UNPARSEABLE = ["", "abc", "1;5", "0x10", "--1"]
+DEFROST = ["0", "1", " 1 ", "1.0", "2", "0.5", "-0", "1e0"]
+
+
+def _csv_corpus(rng, header, rows=600):
+    """CSV text over ``header``, a list of (column name, kind) pairs, mixing
+    good rows with every kind of bad one."""
+    def cell(kind):
+        if kind == "defrost":
+            return rng.choice(DEFROST)
+        if kind == "fridge":
+            return rng.choice(["F1", "F2", " F3 ", "", "  "])
+        if kind == "store":
+            return rng.choice(["S1", " S2", "", " "])
+        if kind == "text":
+            return rng.choice(["door open", "1.5", "", "inf", " 4 "])
+        return rng.choice(GOOD)
+
+    lines = [",".join(f" {name} " if i == 1 else name for i, (name, _) in enumerate(header))]
+    for _ in range(rows):
+        draw = rng.random()
+        if draw < 0.05:
+            lines.append(rng.choice(["", ",,,", " , ,", "   "]))
+            continue
+        row = [cell(kind) for _, kind in header]
+        numbers = [i for i, (_, kind) in enumerate(header) if kind == "number"]
+        if draw < 0.25:
+            row[rng.choice(numbers)] = rng.choice(NON_FINITE + UNPARSEABLE)
+        elif draw < 0.3:
+            first, second = rng.sample(numbers, 2)
+            row[first] = rng.choice(UNPARSEABLE)
+            row[second] = rng.choice(NON_FINITE)
+        elif draw < 0.38:
+            row = row[:rng.randrange(1, len(row))]
+        elif draw < 0.42:
+            row += ["spare", " 9 "]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+CORPUS_SCHEMAS = [
+    (
+        [("airOnTemp", "number"), ("TimeStamp", "number"), ("fridgeId", "fridge"),
+         ("Def", "defrost"), ("power_kw", "number"), ("storeId", "store"),
+         ("airOffTemp", "number"), ("note", "text")],
+        CsvSchema(columns={"timestamp": "TimeStamp", "fridge_id": "fridgeId",
+                           "store_id": "storeId", "air_on": "airOnTemp",
+                           "air_off": "airOffTemp", "defrost": "Def"}),
+    ),
+    (
+        [("ts", "number"), ("on", "number"), ("off", "number"), ("d", "defrost"),
+         ("probe", "text")],
+        CsvSchema(columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
+                           "defrost": "d"},
+                  defaults={"fridge_id": 17, "store_id": "S9"}),
+    ),
+    (
+        [("d", "defrost"), ("ts", "number"), ("off", "number"), ("on", "number")],
+        CsvSchema(columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
+                           "defrost": "d"},
+                  defaults={"fridge_id": "barn1"}),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CORPUS_SCHEMAS)))
+def test_parser_matches_naive_reference(case):
+    header, schema = CORPUS_SCHEMAS[case]
+    reasons = set()
+    for seed in range(5):
+        text = _csv_corpus(random.Random(f"{case}:{seed}"), header)
+        records, rejects = parse_telemetry_csv(text, schema)
+        want_records, want_rejects = naive_csv.parse_telemetry_csv(text, schema)
+        assert records == want_records
+        assert rejects == want_rejects
+        assert records and rejects
+        reasons.update(r.reason.split(" ")[0] for r in rejects)
+    # Each kind of reject came up: unparseable, non-finite, bad defrost
+    # flag, short row, and (with a fridge column) an empty fridge id.
+    assert {"could", "non-finite", "defrost", "list"} <= reasons
+    assert ("empty" in reasons) == ("fridge_id" in schema.columns)
+
+
+def test_parser_keeps_check_order_and_defaults():
+    schema = CORPUS_SCHEMAS[1][1]
+    text = "ts,on,off,d,probe\n1,nan,abc,2,x\n2,1,abc,0.5,x\n3,1,1,2,\n4,1,1,1,y\n"
+    records, rejects = parse_telemetry_csv(text, schema)
+    assert [r.reason for r in rejects] == [
+        "non-finite value 'nan'",
+        "could not convert string to float: 'abc'",
+        "defrost flag 2.0 not in {0, 1}",
+    ]
+    (only,) = records
+    assert (only.fridge_id, only.store_id, only.extra) == ("17", "S9", {"probe": "y"})
 
 
 def rec(fridge, ts, on=3.0, off=1.0, defrost=0):
