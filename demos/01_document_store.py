@@ -4,7 +4,7 @@ The embedded document store
 
 A coldflow project keeps everything - telemetry, training examples, model
 weights, reports - in one NDJSON-backed document store. This walkthrough
-covers the daily moves: insert, index, aggregate, and model blobs.
+covers the daily moves: insert, look up, aggregate, and model blobs.
 """
 
 import tempfile
@@ -21,9 +21,7 @@ with open_store(workdir + "/store") as store:
         {"_id": "F0003", "store_id": "S002", "power_kw": 2.4},
     ])
 
-    # Point lookups go through _id. Secondary hash indexes are explicit,
-    # and equality $match stages use them automatically.
-    store.create_index("fridges", "store_id")
+    # Point lookups go through _id; $match selects by any field.
     print("one fridge:", store.get("fridges", "F0002"))
     in_s001 = store.aggregate("fridges", [{"$match": {"store_id": "S001"}}])
     print("store S001:", [d["_id"] for d in in_s001])

@@ -10,7 +10,7 @@ features before each defrost and the defrost's duration as the target.
 
 from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.pipelines import midband_setpoints
-from coldflow.telemetry import derive_features, to_documents
+from coldflow.telemetry import derive_features
 from coldflow.wrangler import (
     extract_defrost_examples,
     fridge_series,
@@ -18,15 +18,15 @@ from coldflow.wrangler import (
     split_dataset,
 )
 
-# Simulate a month for two fridges and derive per-record features: first
-# differences and distance-to-setpoint channels join the raw temperatures.
-# The blocks are built from documents, as the pipeline reads them back
-# from the store.
+# Simulate a month for two fridges and turn the readings into telemetry
+# documents, as ingest stores them: first differences and
+# distance-to-setpoint channels join the raw temperatures. The blocks are
+# built from these documents, as the pipeline reads them back from the
+# store.
 config = SimConfig(n_fridges=2, days=30.0, seed=3)
 examples = []
 for spec, records in simulate_fleet(config):
-    records = derive_features(records, midband_setpoints(spec))
-    docs = to_documents(records)
+    docs = derive_features(records, midband_setpoints(spec))
     series = fridge_series(docs, ("air_on_temperature", "air_on_diff"))[spec.fridge_id]
     print(f"{spec.fridge_id}: block of {series.features.shape[0]} readings x "
           f"{series.features.shape[1]} features")

@@ -12,7 +12,7 @@ import numpy as np
 from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.neural import TrainConfig, predict_values, train
 from coldflow.pipelines import midband_setpoints
-from coldflow.telemetry import derive_features, to_documents
+from coldflow.telemetry import derive_features
 from coldflow.wrangler import extract_defrost_examples, fridge_series, split_dataset
 
 # Raw temperatures plus the derived channels: the first difference carries
@@ -23,8 +23,8 @@ FEATURES = ("air_on_temperature", "air_off_temperature", "air_on_diff",
 # A small corpus: six fridges for ten days gives a few hundred defrosts.
 examples = []
 for spec, records in simulate_fleet(SimConfig(n_fridges=6, days=10.0, seed=5)):
-    records = derive_features(records, midband_setpoints(spec))
-    series = fridge_series(to_documents(records), FEATURES)[spec.fridge_id]
+    docs = derive_features(records, midband_setpoints(spec))
+    series = fridge_series(docs, FEATURES)[spec.fridge_id]
     found, _ = extract_defrost_examples(series, window_len=24, threshold=8.0)
     examples.extend(found)
 print(f"{len(examples)} examples of {examples[0].observed.shape}")

@@ -23,7 +23,7 @@ from coldflow.fridgesim import (
 )
 from coldflow.neural import TrainConfig, predict_labels, train
 from coldflow.pipelines import midband_setpoints
-from coldflow.telemetry import derive_features, to_documents
+from coldflow.telemetry import derive_features
 from coldflow.wrangler import Workorder, balance_classes, fridge_series, merge_faults
 
 config = SimConfig(n_fridges=150, days=4.0, seed=21)
@@ -38,7 +38,7 @@ features = ("air_on_temperature", "air_off_temperature", "air_on_diff",
             "targetTemp_on", "targetTemp_off")
 series = {}
 for spec, recs in simulate_fleet(config, fault_plans=plans):
-    docs = to_documents(derive_features(recs, midband_setpoints(spec)))
+    docs = derive_features(recs, midband_setpoints(spec))
     series.update(fridge_series(docs, features))
 
 # The join parses free-text orders with the configured patterns, cuts a

@@ -6,10 +6,11 @@ enforced through an advisory lock file; readers open without locking. A
 collection is parsed when a handle first touches it, and the handle sees what
 was flushed by then plus its own writes. Aggregation pipelines use the familiar
 list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
-explicitly documented subset of operators; ``aggregate`` and ``find_all``
-return copies, while ``scan`` returns a collection's stored documents
-uncopied, for read-only passes. Large binary model artifacts are
-chunked into a companion collection with a manifest and checksum.
+explicitly documented subset of operators and run over a collection's
+documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, while
+``scan`` returns a collection's stored documents uncopied, for read-only
+passes. Large binary model artifacts are chunked into a companion
+collection with a manifest and checksum.
 """
 
 from coldflow.docstore.documents import (

@@ -1,4 +1,4 @@
-"""File-backed document store: NDJSON collections, advisory lock, hash indexes.
+"""File-backed document store: NDJSON collections and an advisory lock.
 
 Layout: a store is a directory; each collection ``name`` lives in
 ``<store>/name.ndjson`` with one canonical document per line in insertion
@@ -7,14 +7,14 @@ order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
 Collections load lazily: opening a store takes the lock (writers) and lists
 the directory, nothing more. A collection's file is parsed the first time
 the handle touches that collection (``get``, ``has``, ``count``, ``scan``,
-``aggregate``, ``find_all``, ``create_index`` or ``insert_many``), so a task
-pays only for what it reads, and a corrupt file raises CorruptCollection at
-that touch. A final line without its newline is an append cut short by a
-crash: a writer handle truncates it at first touch and a reader skips it,
-and both log a warning.
+``aggregate``, ``find_all`` or ``insert_many``), so a task pays only for
+what it reads, and a corrupt file raises CorruptCollection at that touch.
+A final line without its newline is an append cut short by a crash: a
+writer handle truncates it at first touch and a reader skips it, and both
+log a warning.
 
-Reads: ``get``, ``aggregate`` and ``find_all`` return copies the caller may
-change. ``scan`` returns the stored documents themselves, uncopied, for
+Reads: ``get``, ``aggregate`` and ``find_all`` return deep copies the caller
+may change. ``scan`` returns the stored documents themselves, uncopied, for
 read-only passes over a whole collection; changing one would change what
 this handle reads later without changing the file.
 
@@ -37,15 +37,8 @@ import threading
 import time
 import uuid
 
-from coldflow.docstore.documents import (
-    CorruptCollection,
-    canonical_dumps,
-    get_path,
-    is_scalar,
-    parse_document_line,
-    scalar_key,
-)
-from coldflow.docstore.pipeline import AggregationPipeline, parse_pipeline
+from coldflow.docstore.documents import CorruptCollection, canonical_dumps, parse_document_line
+from coldflow.docstore.pipeline import AggregationPipeline, _deep_copy_json, parse_pipeline
 
 log = logging.getLogger(__name__)
 
@@ -148,42 +141,15 @@ class _ProcessLockRegistry:
 _REGISTRY = _ProcessLockRegistry()
 
 
-class _HashIndex:
-    """Equality index over one dotted field path.
-
-    Buckets scalar values (via scalar_key) to insertion-order position
-    lists. Documents whose path is missing or non-scalar are not bucketed;
-    a scalar equality can never match them, so lookups stay exact.
-    """
-
-    def __init__(self, field_path: str):
-        self.field_path = field_path
-        self.buckets: dict[tuple, list[int]] = {}
-
-    def add(self, position: int, doc: dict):
-        found, value = get_path(doc, self.field_path)
-        if found and is_scalar(value):
-            self.buckets.setdefault(scalar_key(value), []).append(position)
-
-    def positions_for(self, value) -> list[int]:
-        if not is_scalar(value):
-            return []
-        return self.buckets.get(scalar_key(value), [])
-
-
 class _Collection:
     def __init__(self, name: str):
         self.name = name
         self.docs: list[dict] = []
         self.by_id: dict[str, int] = {}
-        self.indexes: dict[str, _HashIndex] = {}
 
     def append(self, doc: dict):
-        position = len(self.docs)
+        self.by_id[doc["_id"]] = len(self.docs)
         self.docs.append(doc)
-        self.by_id[doc["_id"]] = position
-        for index in self.indexes.values():
-            index.add(position, doc)
 
 
 class DocumentStore:
@@ -339,7 +305,7 @@ class DocumentStore:
             coll = self._touch(collection)
             if doc_id not in coll.by_id:
                 raise NotFound(f"{collection}/{doc_id}")
-            return dict(coll.docs[coll.by_id[doc_id]])
+            return _deep_copy_json(coll.docs[coll.by_id[doc_id]])
 
     def has(self, collection: str, doc_id: str) -> bool:
         """Whether the collection holds a document with this _id."""
@@ -357,63 +323,14 @@ class DocumentStore:
         with self._state_lock:
             return list(self._touch(collection).docs)
 
-    def create_index(self, collection: str, field_path: str):
-        """Declare a hash index over a dotted path; built immediately.
-
-        Indexes are runtime structures on this handle (files stay the
-        canonical persistence) and are kept consistent by every insert.
-        """
-        with self._state_lock:
-            coll = self._touch(collection)
-            if field_path in coll.indexes:
-                return
-            index = _HashIndex(field_path)
-            for position, doc in enumerate(coll.docs):
-                index.add(position, doc)
-            coll.indexes[field_path] = index
-
-    def index_fields(self, collection: str) -> list[str]:
-        with self._state_lock:
-            coll = self._collections.get(collection)
-            return sorted(coll.indexes) if coll else []
-
     def aggregate(self, collection: str, pipeline) -> list[dict]:
         """Run an aggregation pipeline (list of stage dicts or a parsed
-        AggregationPipeline) over one collection.
-
-        When the first stage is a $match with an equality condition on an
-        indexed path, candidates come from the index instead of a full scan;
-        the complete predicate is still applied, so results are identical
-        either way.
-        """
+        AggregationPipeline) over one collection's documents; returns copies."""
         if not isinstance(pipeline, AggregationPipeline):
             pipeline = parse_pipeline(pipeline)
         with self._state_lock:
-            coll = self._touch(collection)
-            docs = list(coll.docs)
-            if pipeline.stages:
-                docs = self._narrow_by_index(coll, pipeline, docs)
+            docs = list(self._touch(collection).docs)
         return pipeline.run(docs)
-
-    @staticmethod
-    def _narrow_by_index(coll: _Collection, pipeline: AggregationPipeline, docs):
-        name, body = pipeline.stages[0]
-        if name != "$match":
-            return docs
-        for field, cond in body.items():
-            if field not in coll.indexes:
-                continue
-            if isinstance(cond, dict) and any(k.startswith("$") for k in cond):
-                if "$eq" not in cond:
-                    continue
-                literal = cond["$eq"]
-            else:
-                literal = cond
-            if not is_scalar(literal):
-                continue
-            positions = coll.indexes[field].positions_for(literal)
-            return [coll.docs[p] for p in positions]
-        return docs
 
     def find_all(self, collection: str) -> list[dict]:
         return self.aggregate(collection, [])

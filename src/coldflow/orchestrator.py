@@ -193,19 +193,18 @@ def run_pipeline(
     registry: dict,
     store_path: str,
     config_path: str | None = None,
-    stop_on_failure: bool = True,
     verbose: bool = False,
 ) -> list[StageReport]:
     """Run stages in order with a full barrier between consecutive stages.
 
-    With stop_on_failure, a stage containing any failed script ends the
-    run; the failing stage's report is still included.
+    A stage containing any failed script ends the run; the failing stage's
+    report is still included.
     """
     reports = []
     for stage in stages:
         report = run_stage(stage, registry, store_path, config_path, verbose)
         reports.append(report)
-        if stop_on_failure and not report.ok:
+        if not report.ok:
             log.error("pipeline stopped: stage %s had %d failure(s)",
                       stage.name, len(report.failures()))
             break

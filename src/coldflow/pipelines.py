@@ -19,7 +19,7 @@ Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
 hands each worker the store path and the validated config. The one
 wrangle task builds every fridge's block in one uncopied scan of the
-stored telemetry documents, with no index or per-fridge query, and cuts
+stored telemetry documents, with no per-fridge query, and cuts
 both kinds of example from the blocks. Ingest also
 writes each fridge batch's peak power to ``fridge_ratings``, so selection
 reads a few small documents and never parses telemetry.
@@ -45,7 +45,7 @@ from coldflow.fridgesim import (
     workorders_for_plans,
 )
 from coldflow.neural import TrainConfig, from_bytes, predict_labels, predict_values, to_bytes, train
-from coldflow.telemetry import Setpoints, derive_features, to_documents
+from coldflow.telemetry import Setpoints, derive_features
 from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
@@ -90,8 +90,8 @@ def insert_new(store, collection: str, docs: list[dict]) -> tuple[int, int]:
 
 
 def ingest_records(store, records, setpoints: Setpoints) -> tuple[int, int]:
-    """Derive per-record features and store telemetry documents, then one
-    rating per fridge of the batch. Returns the telemetry (inserted, skipped).
+    """Store the batch's telemetry documents, then one rating per fridge
+    of the batch. Returns the telemetry (inserted, skipped).
 
     A rating holds the batch's peak numeric ``extra.power_kw`` (None when
     it has none). Its _id names the fridge, the batch's first and last
@@ -99,8 +99,7 @@ def ingest_records(store, records, setpoints: Setpoints) -> tuple[int, int]:
     nothing, while a grown file, another batch, or a retry after a crash
     between the two writes each stores its own rating.
     """
-    derived = derive_features(records, setpoints)
-    counts = insert_new(store, TELEMETRY, to_documents(derived))
+    counts = insert_new(store, TELEMETRY, derive_features(records, setpoints))
     insert_new(store, FRIDGE_RATINGS, _rating_docs(records))
     return counts
 

@@ -1,11 +1,12 @@
-"""Telemetry records: CSV ingestion, derived features, document mapping.
+"""Telemetry records: CSV ingestion, derived features, stored documents.
 
 A telemetry record is one sensor reading of one fridge: timestamp (epoch
 seconds), case air temperatures entering/leaving the evaporator, defrost
 state flag, optional store id, and an ``extra`` map carrying any unmapped
-sensor columns untouched. Derived fields (cadence deltas, setpoint
-differences) live in a separate ``derived`` map so recomputation is
-idempotent by construction.
+sensor columns untouched. ``derive_features`` turns sorted records into the
+documents ingest stores: the base fields, ``extra``, and a ``derived`` map
+(cadence deltas, setpoint differences) computed from a reading and its
+in-fridge predecessor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class TelemetryRecord:
     defrost_state: int
     store_id: str | None = None
     extra: dict = field(default_factory=dict)
-    derived: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -181,64 +181,32 @@ def check_sorted(records: list[TelemetryRecord]):
             )
 
 
-def derive_features(records: list[TelemetryRecord], setpoints: Setpoints):
-    """Fill each record's derived map; returns new records, input untouched.
+def derive_features(records: list[TelemetryRecord], setpoints: Setpoints) -> list[dict]:
+    """The telemetry documents ingest stores, one per record, input untouched.
 
-    Derived fields: timestamp_sec (alias of the timestamp), time_diff_sec
-    (cadence delta within a fridge, 0.0 at each fridge's first record),
-    air_on_diff/air_off_diff (temperature change since the previous record
-    of the same fridge, 0.0 at its first record), targetTemp_on/off (the
-    setpoints) and targetTemp_on_diff/off_diff (measured minus setpoint).
-    Recomputing is idempotent: derived values are functions of the base
-    fields of a record and its in-fridge predecessor only.
+    Each document has _id "<fridge_id>:<timestamp>", the record's base
+    fields, a copy of its ``extra`` map and a ``derived`` map:
+    timestamp_sec (alias of the timestamp), time_diff_sec (cadence delta
+    within a fridge, 0.0 at each fridge's first record), air_on_diff and
+    air_off_diff (temperature change since the previous record of the same
+    fridge, 0.0 at its first record), targetTemp_on/off (the setpoints) and
+    targetTemp_on_diff/off_diff (measured minus setpoint). Records must be
+    sorted by (fridge_id, timestamp), so a record's in-fridge predecessor
+    is the record before it when that has the same fridge id.
     """
     check_sorted(records)
-    out = []
-    prev_by_fridge: dict[str, TelemetryRecord] = {}
-    for rec in records:
-        prev = prev_by_fridge.get(rec.fridge_id)
-        prev_by_fridge[rec.fridge_id] = rec
-        derived = {
-            "timestamp_sec": rec.timestamp,
-            "time_diff_sec": 0.0 if prev is None else rec.timestamp - prev.timestamp,
-            "air_on_diff": (
-                0.0 if prev is None
-                else rec.air_on_temperature - prev.air_on_temperature
-            ),
-            "air_off_diff": (
-                0.0 if prev is None
-                else rec.air_off_temperature - prev.air_off_temperature
-            ),
-            "targetTemp_on": setpoints.on,
-            "targetTemp_on_diff": rec.air_on_temperature - setpoints.on,
-            "targetTemp_off": setpoints.off,
-            "targetTemp_off_diff": rec.air_off_temperature - setpoints.off,
-        }
-        out.append(
-            TelemetryRecord(
-                timestamp=rec.timestamp,
-                fridge_id=rec.fridge_id,
-                store_id=rec.store_id,
-                air_on_temperature=rec.air_on_temperature,
-                air_off_temperature=rec.air_off_temperature,
-                defrost_state=rec.defrost_state,
-                extra=dict(rec.extra),
-                derived=derived,
-            )
-        )
-    return out
-
-
-def record_id(rec: TelemetryRecord) -> str:
-    return f"{rec.fridge_id}:{rec.timestamp}"
-
-
-def to_documents(records: list[TelemetryRecord]) -> list[dict]:
-    """Lossless record -> document mapping; _id is "<fridge_id>:<timestamp>"."""
     docs = []
+    prev = None
     for rec in records:
-        doc = {
-            "_id": record_id(rec),
+        if prev is None or prev.fridge_id != rec.fridge_id:
+            time_diff = air_on_diff = air_off_diff = 0.0
+        else:
+            time_diff = rec.timestamp - prev.timestamp
+            air_on_diff = rec.air_on_temperature - prev.air_on_temperature
+            air_off_diff = rec.air_off_temperature - prev.air_off_temperature
+        prev = rec
+        docs.append({
+            "_id": f"{rec.fridge_id}:{rec.timestamp}",
             "timestamp": rec.timestamp,
             "fridge_id": rec.fridge_id,
             "store_id": rec.store_id,
@@ -246,9 +214,17 @@ def to_documents(records: list[TelemetryRecord]) -> list[dict]:
             "air_off_temperature": rec.air_off_temperature,
             "defrost_state": rec.defrost_state,
             "extra": dict(rec.extra),
-            "derived": dict(rec.derived),
-        }
-        docs.append(doc)
+            "derived": {
+                "timestamp_sec": rec.timestamp,
+                "time_diff_sec": time_diff,
+                "air_on_diff": air_on_diff,
+                "air_off_diff": air_off_diff,
+                "targetTemp_on": setpoints.on,
+                "targetTemp_on_diff": rec.air_on_temperature - setpoints.on,
+                "targetTemp_off": setpoints.off,
+                "targetTemp_off_diff": rec.air_off_temperature - setpoints.off,
+            },
+        })
     return docs
 
 

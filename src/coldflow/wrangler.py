@@ -85,7 +85,7 @@ def _feature_column(docs: list[dict], name: str) -> np.ndarray:
 def fridge_series(docs: list[dict],
                   feature_names=DEFAULT_FEATURES) -> dict[str, FridgeSeries]:
     """Build one FridgeSeries per fridge from telemetry documents, as stored
-    or as ``telemetry.to_documents`` makes them, keyed in order of first
+    or as ``telemetry.derive_features`` makes them, keyed in order of first
     appearance. Features resolve through ``telemetry.field_value``.
 
     Accepts both fridge-major and time-interleaved streams; what matters

@@ -52,7 +52,7 @@ from coldflow.pipelines import (
     select_candidates,
 )
 from coldflow.runconfig import validate_config
-from coldflow.telemetry import derive_features, to_documents
+from coldflow.telemetry import derive_features
 from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
@@ -106,8 +106,8 @@ def dsr(tmp_path_factory):
     per_event = {}
     lead0_examples = 0
     for spec, records in simulate_fleet(sim):
-        records = derive_features(records, midband_setpoints(spec))
-        series = fridge_series(to_documents(records), WINDOW_FEATURES)[spec.fridge_id]
+        docs = derive_features(records, midband_setpoints(spec))
+        series = fridge_series(docs, WINDOW_FEATURES)[spec.fridge_id]
         examples, _ = extract_defrost_examples(series, window_len=32, threshold=8.0)
         lead0_examples += len(examples)
         for ex in examples:
@@ -203,7 +203,7 @@ def fault(tmp_path_factory):
     orders = workorders_for_plans(plans, specs, FAULT_SEED, noise_orders=10)
     series = {}
     for spec, recs in simulate_fleet(sim, fault_plans=plans):
-        fridge_docs = to_documents(derive_features(recs, midband_setpoints(spec)))
+        fridge_docs = derive_features(recs, midband_setpoints(spec))
         series.update(fridge_series(fridge_docs, WINDOW_FEATURES))
 
     examples, stats = merge_faults(

@@ -316,7 +316,6 @@ def test_random_pipelines_through_store(tmp_path):
     docs = random_docs(rng, 60)
     with open_store(tmp_path / "s") as store:
         store.insert_many("t", docs)
-        store.create_index("t", "s")
         for _ in range(20):
             pipeline = random_pipeline(rng)
             got = store.aggregate("t", pipeline)

@@ -362,44 +362,6 @@ def test_rejected_duplicates_append_nothing(tmp_path):
         assert store.count("t") == 2
 
 
-def test_index_matches_full_scan(tmp_path):
-    # 10,000 docs, indexed equality lookups equal the scan answer.
-    with open_store(tmp_path / "s") as store:
-        store.insert_many(
-            "t", [{"_id": str(i), "g": i % 97, "v": i} for i in range(10_000)]
-        )
-        assert store.count("t") == 10_000
-        scan = store.aggregate("t", [{"$match": {"g": 13}}])
-        store.create_index("t", "g")
-        indexed = store.aggregate("t", [{"$match": {"g": 13}}])
-        assert indexed == scan
-        assert len(indexed) == 10_000 // 97 + (1 if 13 < 10_000 % 97 else 0)
-
-
-def test_index_consistent_after_interleaved_inserts(tmp_path):
-    with open_store(tmp_path / "s") as store:
-        store.create_index("t", "g")
-        for wave in range(5):
-            store.insert_many(
-                "t", [{"_id": f"{wave}:{i}", "g": i % 7} for i in range(40)]
-            )
-            for g in range(7):
-                via_index = store.aggregate("t", [{"$match": {"g": g}}])
-                brute = [d for d in store.find_all("t") if d.get("g") == g]
-                assert via_index == brute
-
-
-def test_index_with_secondary_conditions_still_exact(tmp_path):
-    with open_store(tmp_path / "s") as store:
-        store.insert_many(
-            "t", [{"_id": str(i), "g": i % 5, "v": i} for i in range(100)]
-        )
-        store.create_index("t", "g")
-        got = store.aggregate("t", [{"$match": {"g": 2, "v": {"$gte": 50}}}])
-        want = [d for d in store.find_all("t") if d["g"] == 2 and d["v"] >= 50]
-        assert got == want
-
-
 def test_aggregate_on_missing_collection_is_empty(tmp_path):
     with open_store(tmp_path / "s") as store:
         assert store.aggregate("nothing", [{"$match": {"a": 1}}]) == []
@@ -409,6 +371,17 @@ def test_get_not_found(tmp_path):
     with open_store(tmp_path / "s") as store:
         with pytest.raises(NotFound):
             store.get("t", "missing")
+
+
+def test_get_returns_a_deep_copy(tmp_path):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": "x", "extra": {"a": 1}, "tags": [{"b": 2}]}])
+        got = store.get("t", "x")
+        got["extra"]["a"] = 99
+        got["tags"][0]["b"] = 99
+        want = {"_id": "x", "extra": {"a": 1}, "tags": [{"b": 2}]}
+        assert store.get("t", "x") == want
+        assert store.find_all("t") == [want]
 
 
 def test_duplicate_key_reason_names_the_key():

@@ -105,10 +105,9 @@ def test_telemetry_blocks_sort_out_of_order_batches(tmp_path):
 
 def blocks_through_group_match_sort(store, feature_names) -> dict:
     """The former telemetry_blocks, kept as the reference: a $group for the
-    fridge ids, then an indexed $match and a $sort per fridge, each
-    aggregate returning copies."""
+    fridge ids, then a $match and a $sort per fridge, each aggregate
+    returning copies."""
     groups = store.aggregate(pipelines.TELEMETRY, [{"$group": {"_id": "$fridge_id"}}])
-    store.create_index(pipelines.TELEMETRY, "fridge_id")
     blocks = {}
     for fid in sorted(g["_id"] for g in groups):
         docs = store.aggregate(

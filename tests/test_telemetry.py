@@ -1,12 +1,14 @@
 """CSV ingestion, derived features and document round trips."""
 
+import dataclasses
 import random
 
 import pytest
 
 import naive_csv
 
-from coldflow.docstore import open_store
+from coldflow.docstore import canonical_dumps, open_store
+from coldflow.fridgesim import SimConfig, fleet_specs, plan_faults, simulate_fleet
 from coldflow.telemetry import (
     CsvSchema,
     MissingColumn,
@@ -15,7 +17,6 @@ from coldflow.telemetry import (
     UnsortedInput,
     derive_features,
     parse_telemetry_csv,
-    to_documents,
 )
 
 # A single-unit logger dump: timestamped case temperatures, a handful of
@@ -196,28 +197,22 @@ def rec(fridge, ts, on=3.0, off=1.0, defrost=0):
 def test_derive_features_values():
     records = [rec("a", 0, on=3.8, off=1.7), rec("a", 60, on=4.0, off=1.9),
                rec("b", 30, on=2.0, off=0.5)]
-    out = derive_features(records, Setpoints(on=3.0, off=1.0))
-    assert out[0].derived["time_diff_sec"] == 0.0
-    assert out[1].derived["time_diff_sec"] == 60.0
+    before = [dataclasses.replace(r) for r in records]
+    out = [doc["derived"] for doc in derive_features(records, Setpoints(on=3.0, off=1.0))]
+    assert out[0]["time_diff_sec"] == 0.0
+    assert out[1]["time_diff_sec"] == 60.0
     # New fridge restarts the cadence delta.
-    assert out[2].derived["time_diff_sec"] == 0.0
-    assert out[0].derived["air_on_diff"] == 0.0
-    assert out[1].derived["air_on_diff"] == pytest.approx(0.2)
-    assert out[1].derived["air_off_diff"] == pytest.approx(0.2)
-    assert out[2].derived["air_on_diff"] == 0.0
-    assert out[0].derived["targetTemp_on_diff"] == pytest.approx(0.8)
-    assert out[0].derived["targetTemp_off_diff"] == pytest.approx(0.7)
-    assert out[0].derived["targetTemp_on"] == 3.0
-    assert out[0].derived["timestamp_sec"] == 0.0
+    assert out[2]["time_diff_sec"] == 0.0
+    assert out[0]["air_on_diff"] == 0.0
+    assert out[1]["air_on_diff"] == pytest.approx(0.2)
+    assert out[1]["air_off_diff"] == pytest.approx(0.2)
+    assert out[2]["air_on_diff"] == 0.0
+    assert out[0]["targetTemp_on_diff"] == pytest.approx(0.8)
+    assert out[0]["targetTemp_off_diff"] == pytest.approx(0.7)
+    assert out[0]["targetTemp_on"] == 3.0
+    assert out[0]["timestamp_sec"] == 0.0
     # Input untouched.
-    assert records[0].derived == {}
-
-
-def test_derive_features_idempotent():
-    records = [rec("a", t * 60) for t in range(5)]
-    once = derive_features(records, Setpoints(3.0, 1.0))
-    twice = derive_features(once, Setpoints(3.0, 1.0))
-    assert [r.derived for r in once] == [r.derived for r in twice]
+    assert records == before
 
 
 def test_derive_features_requires_sorted_input():
@@ -228,16 +223,79 @@ def test_derive_features_requires_sorted_input():
         derive_features([rec("b", 0), rec("a", 0)], Setpoints(3.0, 1.0))
 
 
+def documents_through_derived_records(records, setpoints):
+    """The former ingest path, kept as the reference: one pass built new
+    records carrying a derived map, each predecessor looked up in a
+    per-fridge dict, and a second pass mapped every record to a document."""
+    derived_records = []
+    prev_by_fridge = {}
+    for r in records:
+        prev = prev_by_fridge.get(r.fridge_id)
+        prev_by_fridge[r.fridge_id] = r
+        derived = {
+            "timestamp_sec": r.timestamp,
+            "time_diff_sec": 0.0 if prev is None else r.timestamp - prev.timestamp,
+            "air_on_diff": (0.0 if prev is None
+                            else r.air_on_temperature - prev.air_on_temperature),
+            "air_off_diff": (0.0 if prev is None
+                             else r.air_off_temperature - prev.air_off_temperature),
+            "targetTemp_on": setpoints.on,
+            "targetTemp_on_diff": r.air_on_temperature - setpoints.on,
+            "targetTemp_off": setpoints.off,
+            "targetTemp_off_diff": r.air_off_temperature - setpoints.off,
+        }
+        derived_records.append((r, dict(r.extra), derived))
+    return [
+        {
+            "_id": f"{r.fridge_id}:{r.timestamp}",
+            "timestamp": r.timestamp,
+            "fridge_id": r.fridge_id,
+            "store_id": r.store_id,
+            "air_on_temperature": r.air_on_temperature,
+            "air_off_temperature": r.air_off_temperature,
+            "defrost_state": r.defrost_state,
+            "extra": dict(extra),
+            "derived": dict(derived),
+        }
+        for r, extra, derived in derived_records
+    ]
+
+
+def test_derive_features_matches_the_derived_record_path():
+    # Three simulated fridges in one batch, two with injected faults, and
+    # a multi-fridge CSV with numeric and text extra columns.
+    sim = SimConfig(n_fridges=3, days=3.5, seed=11)
+    plans = plan_faults(fleet_specs(sim), sim, 2, 11)
+    simulated = [r for _, recs in simulate_fleet(sim, fault_plans=plans) for r in recs]
+    header, schema = CORPUS_SCHEMAS[0]
+    parsed, _ = parse_telemetry_csv(_csv_corpus(random.Random(3), header), schema)
+    parsed.sort(key=lambda r: (r.fridge_id, r.timestamp))
+    assert any(isinstance(r.extra["note"], str) for r in parsed)
+    for records, setpoints in ((simulated, Setpoints(3.2, 1.1)), (parsed, Setpoints(3.0, 1.0))):
+        got = derive_features(records, setpoints)
+        want = documents_through_derived_records(records, setpoints)
+        assert len({d["fridge_id"] for d in got}) >= 3
+        assert [canonical_dumps(d) for d in got] == [canonical_dumps(d) for d in want]
+
+
+def test_derive_features_shares_no_dict_with_input():
+    records, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
+    docs = derive_features(records, Setpoints(3.0, 1.0))
+    inputs = {id(r.extra) for r in records}
+    assert not inputs & {id(d[key]) for d in docs for key in ("extra", "derived")}
+    docs[0]["extra"]["Def"] = -1.0
+    assert records[0].extra["Def"] == 17.2
+
+
 def test_document_roundtrip_identity(tmp_path):
     records, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
-    records = derive_features(records, Setpoints(3.0, 1.0))
-    docs = to_documents(records)
+    docs = derive_features(records, Setpoints(3.0, 1.0))
     assert docs[0]["_id"] == "barn1:1488990480.0"
     with open_store(tmp_path / "s") as store:
         store.insert_many("telemetry", docs)
     with open_store(tmp_path / "s", read_only=True) as store:
         loaded = store.find_all("telemetry")
     assert loaded == docs
-    back = [TelemetryRecord(**{k: v for k, v in d.items() if k != "_id"})
+    back = [TelemetryRecord(**{k: v for k, v in d.items() if k not in ("_id", "derived")})
             for d in loaded]
     assert back == records

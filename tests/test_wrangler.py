@@ -1,5 +1,6 @@
 """Array blocks, window extraction, fault merging and splits."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import naive_window
 
-from coldflow.telemetry import TelemetryRecord, UnsortedInput, field_value, to_documents
+from coldflow.telemetry import UnsortedInput, field_value
 from coldflow.wrangler import (
     DEFAULT_CADENCE_S,
     DEFAULT_GAP_FACTOR,
@@ -26,8 +27,29 @@ from coldflow.wrangler import (
 )
 
 
+@dataclasses.dataclass
+class Reading:
+    """A telemetry reading with a derived map given outright, so tests can
+    put any value into any field of a document."""
+
+    timestamp: float
+    fridge_id: str
+    air_on_temperature: float
+    air_off_temperature: float
+    defrost_state: int
+    store_id: str | None = None
+    extra: dict = dataclasses.field(default_factory=dict)
+    derived: dict = dataclasses.field(default_factory=dict)
+
+
+def documents(readings):
+    """Telemetry documents shaped as ingest stores them, in stream order."""
+    return [{"_id": f"{r.fridge_id}:{r.timestamp}", **dataclasses.asdict(r)}
+            for r in readings]
+
+
 def make_record(ts, fridge="f1", air_on=3.0, air_off=1.5, defrost=0, **kwargs):
-    return TelemetryRecord(
+    return Reading(
         timestamp=float(ts),
         fridge_id=fridge,
         air_on_temperature=air_on,
@@ -50,7 +72,7 @@ def contiguous_stream(n, fridge="f1", start=0.0, defrost_at=()):
 
 def block(records):
     """The one fridge's FridgeSeries of a single-fridge stream."""
-    (series,) = fridge_series(to_documents(records)).values()
+    (series,) = fridge_series(documents(records)).values()
     return series
 
 
@@ -58,7 +80,7 @@ def test_fridge_series_requires_per_fridge_time_order():
     backwards = contiguous_stream(5)
     backwards[3], backwards[4] = backwards[4], backwards[3]
     with pytest.raises(UnsortedInput):
-        fridge_series(to_documents(backwards))
+        fridge_series(documents(backwards))
 
     # Time-interleaved, and fridge-major with a later fridge starting
     # earlier: each fridge's own readings still go forwards.
@@ -66,7 +88,7 @@ def test_fridge_series_requires_per_fridge_time_order():
                          key=lambda r: r.timestamp)
     fridge_major = contiguous_stream(5, fridge="a", start=600.0) + contiguous_stream(5, fridge="b")
     for stream in (interleaved, fridge_major):
-        series = fridge_series(to_documents(stream))
+        series = fridge_series(documents(stream))
         assert list(series) == ["a", "b"]
         assert series["b"].timestamps.tolist() == [i * 60.0 for i in range(5)]
 
@@ -95,7 +117,7 @@ def test_fridge_series_feature_lookup_on_documents():
                            "door": 1.0})
         for i, value in enumerate(odd + (7,))
     ]
-    docs = to_documents(records)
+    docs = documents(records)
     assert field_value(docs[0], "air_on_temperature") == 3.5
     assert field_value(docs[0], "both") == 4.0
     assert field_value(docs[0], "odd") is None
@@ -170,7 +192,7 @@ def test_array_cut_matches_record_loop():
         names = tuple(rng.sample(FEATURE_POOL, rng.randint(1, 3)))
         if rng.random() < 0.05:
             names += ("absent",)  # every window is non-finite
-        docs = to_documents(records)
+        docs = documents(records)
         (series,) = fridge_series(docs, names).values()
         assert not np.isinf(series.features).any()  # inf is stored as NaN
         for _ in range(60):
@@ -258,7 +280,7 @@ def test_extract_handles_multiple_fridges_and_runs():
         key=lambda r: r.timestamp,
     )
     examples, rejects = [], []
-    for series in fridge_series(to_documents(records)).values():
+    for series in fridge_series(documents(records)).values():
         found, rejected = extract_defrost_examples(series, window_len=5, threshold=8.0)
         examples += found
         rejects += rejected
@@ -324,7 +346,7 @@ def fault_fixture():
         Workorder("store S01 fridge F001 icepack fault", 30 * 3600.0),
         Workorder("fridge F002 needs gas recharge", 40 * 3600.0),
     ]
-    return fridge_series(to_documents(records)), orders
+    return fridge_series(documents(records)), orders
 
 
 def test_merge_faults_positives_and_negative_distance():
