@@ -7,6 +7,12 @@ config; flags only say where that config and the store live.
 
 Exit codes: 0 success, 1 task failure, 2 config or usage error.
 
+Each command imports only the modules it runs, inside the command, so a
+serve request does not pay for code it never calls: ``select`` loads the
+document store and never numpy; ``report`` adds numpy but not the
+network, the simulator or the wrangler; ``infer`` and the training
+commands load ``coldflow.pipelines`` in full.
+
 Resolution order for paths: an explicit flag wins, then the environment
 (STORE_PATH / CONFIG_PATH, set by the orchestrator when this CLI runs as
 an external stage script), then the config's own store_path.
@@ -23,9 +29,7 @@ import pathlib
 import sys
 import traceback
 
-from coldflow import pipelines
 from coldflow.docstore import open_store
-from coldflow.fridgesim import FLEET_CSV_SCHEMA, simulate_fleet, write_telemetry_csv
 from coldflow.runconfig import ConfigError, load_config
 from coldflow.telemetry import Setpoints, parse_telemetry_csv
 
@@ -116,6 +120,9 @@ def _require_section(config: dict, name: str):
 
 
 def cmd_simulate(args) -> int:
+    from coldflow import pipelines
+    from coldflow.fridgesim import simulate_fleet, write_telemetry_csv
+
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     _require_section(config, "simulate")
@@ -140,6 +147,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from coldflow import pipelines
+    from coldflow.fridgesim import FLEET_CSV_SCHEMA
+
     config = None
     if _config_path(args) is not None:
         config, _ = _load_required_config(args)
@@ -179,6 +189,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_wrangle(args) -> int:
+    from coldflow import pipelines
+
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     with open_store(_store_path(args, config)) as store:
@@ -190,6 +202,8 @@ def cmd_wrangle(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    from coldflow import pipelines
+
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     _require_section(config, "learn")
@@ -202,6 +216,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    from coldflow import pipelines
+
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     _require_section(config, "infer")
@@ -213,11 +229,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from coldflow.selection import select_dsr
+
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     _require_section(config, "select")
     with open_store(_store_path(args, config)) as store:
-        doc = pipelines.select_dsr(store, config)
+        doc = select_dsr(store, config)
     chosen = ", ".join(c["fridge_id"] for c in doc["chosen"]) or "(none)"
     print(f"selected {len(doc['chosen'])} of {doc['candidates_considered']} "
           f"candidates for {doc['target_kw']} kW "
@@ -227,16 +245,20 @@ def cmd_select(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from coldflow.reporting import make_report
+
     config, _ = _load_required_config(args)
     _setup_logging(args, config)
     _require_section(config, "report")
     with open_store(_store_path(args, config)) as store:
-        doc = pipelines.make_report(store, config)
+        doc = make_report(store, config)
     print(doc["table"])
     return 0
 
 
 def cmd_run(args) -> int:
+    from coldflow import pipelines
+
     config, config_path = _load_required_config(args)
     _setup_logging(args, config)
     store_path = _store_path(args, config)
@@ -258,6 +280,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate_config(args) -> int:
+    from coldflow import pipelines
+
     path = _config_path(args)
     if path is None:
         raise ConfigError("config: validate-config needs --config")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from coldflow.runconfig import WORKORDER_PATTERNS  # matches workorders_for_plans' text
 from coldflow.telemetry import CsvSchema, TelemetryRecord
 
 SECONDS_PER_DAY = 86400.0
@@ -267,10 +268,6 @@ FAULT_NAMES = (
     "compressor hunting",
     "refrigerant leak",
 )
-
-WORKORDER_PATTERNS = [
-    r"store (?P<store_id>S\d+) fridge (?P<fridge_id>F\d+) (?P<fault_name>[a-z ]+) fault",
-]
 
 NOISE_WORKORDERS = (
     "please mop aisle five",

@@ -23,6 +23,13 @@ stored telemetry documents, with no per-fridge query, and cuts
 both kinds of example from the blocks. Ingest also
 writes each fridge batch's peak power to ``fridge_ratings``, so selection
 reads a few small documents and never parses telemetry.
+
+Selection lives in :mod:`coldflow.selection`, which imports no numpy,
+together with the collection names, ``PipelineError`` and ``insert_new``;
+reporting lives in :mod:`coldflow.reporting`, which imports numpy but not
+the network, the simulator or the wrangler. So ``coldflow select`` and
+``coldflow report`` load only what they run. This module re-exports those
+names as the same objects and holds every other task.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +51,23 @@ from coldflow.fridgesim import (
     workorders_for_plans,
 )
 from coldflow.neural import TrainConfig, from_bytes, predict_labels, predict_values, to_bytes, train
+from coldflow.reporting import make_report
+from coldflow.selection import (
+    DSR_EXAMPLES,
+    FAULT_EXAMPLES,
+    FRIDGE_RATINGS,
+    MODEL_INDEX,
+    PREDICTIONS,
+    REPORTS,
+    SELECTIONS,
+    TELEMETRY,
+    WORKORDERS,
+    CandidateSelection,
+    PipelineError,
+    insert_new,
+    select_candidates,
+    select_dsr,
+)
 from coldflow.telemetry import Setpoints, derive_features
 from coldflow.wrangler import (
     InsufficientHistory,
@@ -58,32 +81,6 @@ from coldflow.wrangler import (
 )
 
 log = logging.getLogger(__name__)
-
-TELEMETRY = "telemetry"
-FRIDGE_RATINGS = "fridge_ratings"
-WORKORDERS = "workorders"
-DSR_EXAMPLES = "dsr_examples"
-FAULT_EXAMPLES = "fault_examples"
-MODEL_INDEX = "model_index"
-PREDICTIONS = "predictions"
-SELECTIONS = "selections"
-REPORTS = "reports"
-
-
-class PipelineError(Exception):
-    pass
-
-
-def insert_new(store, collection: str, docs: list[dict]) -> tuple[int, int]:
-    """Insert only documents whose _id is not already present.
-
-    Returns (inserted, skipped). With deterministic ids this makes every
-    writer task idempotent: a re-run finds its output already there.
-    """
-    fresh = [doc for doc in docs if not store.has(collection, doc["_id"])]
-    if fresh:
-        store.insert_many(collection, fresh)
-    return len(fresh), len(docs) - len(fresh)
 
 
 # ---------------------------------------------------------------- ingest
@@ -440,213 +437,6 @@ def infer_model(store, entry: dict) -> dict:
                "predictions": len(out), "inserted": inserted, "skipped": skipped}
     log.info("infer: %s", summary)
     return summary
-
-
-# ---------------------------------------------------------------- select
-
-
-@dataclass(frozen=True)
-class CandidateSelection:
-    chosen: tuple
-    total_kw: float
-    target_kw: float
-    feasible: bool
-
-
-def select_candidates(candidates: list[dict], target_kw: float) -> CandidateSelection:
-    """Greedy shed-capacity selection.
-
-    Candidates are sorted by power (desc), predicted safe-off time (desc),
-    fridge id (asc) and taken until the running power total reaches the
-    target. Largest-first guarantees that a feasible target is met with the
-    fewest fridges, and it is infeasible only when even the full fleet
-    falls short.
-    """
-    ranked = sorted(
-        candidates,
-        key=lambda c: (-c["power_kw"], -c["predicted_safe_off_s"], c["fridge_id"]),
-    )
-    chosen = []
-    total = 0.0
-    for candidate in ranked:
-        if total >= target_kw:
-            break
-        chosen.append(candidate)
-        total += candidate["power_kw"]
-    return CandidateSelection(
-        chosen=tuple(chosen),
-        total_kw=total,
-        target_kw=target_kw,
-        feasible=total >= target_kw,
-    )
-
-
-def select_dsr(store, config: dict) -> dict:
-    """Pick fridges for a demand-response event from model predictions.
-
-    One candidate per fridge: its most recent prediction on the configured
-    split, eligible only if the predicted safe-off time clears the floor.
-    A fridge's power is the highest peak among its ``fridge_ratings``
-    documents, written at ingest, or 0.0 kW when no batch had a numeric
-    power reading. A predicted fridge with no rating raises PipelineError.
-    """
-    s = config["select"]
-    if s is None:
-        raise PipelineError("config has no select section")
-    docs = store.aggregate(PREDICTIONS, [
-        {"$match": {"model_name": s["model"], "split": s["split"]}},
-        {"$sort": {"window_end_ts": 1}},
-    ])
-    if not docs:
-        raise PipelineError(f"select: no predictions for model {s['model']!r} "
-                            f"on split {s['split']!r}")
-    latest: dict[str, dict] = {}
-    for doc in docs:
-        latest[doc["fridge_id"]] = doc
-
-    power = {
-        g["_id"]: g["kw"]
-        for g in store.aggregate(FRIDGE_RATINGS, [
-            {"$group": {"_id": "$fridge_id", "kw": {"$max": "$peak_power_kw"}}}
-        ])
-    }
-    unrated = sorted(set(latest) - set(power))
-    if unrated:
-        raise PipelineError(
-            f"select: no power rating for fridge {', '.join(unrated)}; re-run "
-            "`coldflow ingest` on its telemetry to write its rating")
-    candidates = []
-    for fid in sorted(latest):
-        doc = latest[fid]
-        if doc["predicted_safe_off_s"] < s["min_safe_off_s"]:
-            continue
-        candidates.append({
-            "fridge_id": fid,
-            "power_kw": float(power[fid] or 0.0),
-            "predicted_safe_off_s": doc["predicted_safe_off_s"],
-            "example_id": doc["example_id"],
-        })
-    selection = select_candidates(candidates, s["target_kw"])
-    doc = {
-        "_id": f"selection:{s['tag']}",
-        "model_name": s["model"],
-        "split": s["split"],
-        "target_kw": s["target_kw"],
-        "min_safe_off_s": s["min_safe_off_s"],
-        "candidates_considered": len(candidates),
-        "chosen": [dict(c) for c in selection.chosen],
-        "total_kw": selection.total_kw,
-        "feasible": selection.feasible,
-    }
-    insert_new(store, SELECTIONS, [doc])
-    log.info("select: %d/%d fridges for %.1f kW (feasible=%s)",
-             len(selection.chosen), len(candidates), selection.total_kw,
-             selection.feasible)
-    return doc
-
-
-# ---------------------------------------------------------------- report
-
-
-def _regression_row(store, name: str, split: str, preds: list[dict]) -> dict:
-    lead = preds[0]["lead_seconds"]
-    targets = np.asarray([p["target_seconds"] for p in preds])
-    predicted = np.asarray([p["predicted_seconds"] for p in preds])
-    mae = float(np.mean(np.abs(predicted - targets)))
-    train_docs = store.aggregate(DSR_EXAMPLES, [
-        {"$match": {"split": "train", "lead_seconds": lead}},
-    ])
-    if not train_docs:
-        raise PipelineError(f"report: no train examples at lead {lead} for baseline")
-    train_mean = float(np.mean([d["target_seconds"] for d in train_docs]))
-    baseline = float(np.mean(np.abs(targets - train_mean)))
-    return {
-        "model": name,
-        "task": "regression",
-        "split": split,
-        "lead_seconds": lead,
-        "examples": len(preds),
-        "mae_s": mae,
-        "baseline_mae_s": baseline,
-        "improvement": 1.0 - mae / baseline if baseline > 0 else 0.0,
-    }
-
-
-def _classification_row(name: str, split: str, preds: list[dict]) -> dict:
-    correct = sum(1 for p in preds if p["label_true"] == p["label_predicted"])
-    return {
-        "model": name,
-        "task": "classification",
-        "split": split,
-        "examples": len(preds),
-        "accuracy": correct / len(preds),
-    }
-
-
-def _render_table(rows: list[dict]) -> str:
-    headers = ("model", "task", "lead_s", "n", "mae_s", "baseline_s", "improvement",
-               "accuracy")
-    table = [headers]
-    for row in rows:
-        table.append((
-            row["model"],
-            row["task"],
-            f"{row['lead_seconds']:.0f}" if "lead_seconds" in row else "-",
-            str(row["examples"]),
-            f"{row['mae_s']:.1f}" if "mae_s" in row else "-",
-            f"{row['baseline_mae_s']:.1f}" if "baseline_mae_s" in row else "-",
-            f"{100 * row['improvement']:.1f}%" if "improvement" in row else "-",
-            f"{100 * row['accuracy']:.1f}%" if "accuracy" in row else "-",
-        ))
-    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-        for line in table
-    ]
-    lines.insert(1, "  ".join("-" * width for width in widths))
-    return "\n".join(lines)
-
-
-def make_report(store, config: dict) -> dict:
-    """Summarize model quality (and any selection) into one report document.
-
-    The report's 'created' stamp is the newest window end among the
-    predictions it covers: time comes from the data, never the wall clock.
-    """
-    r = config["report"]
-    if r is None:
-        raise PipelineError("config has no report section")
-    rows = []
-    created = None
-    for name in r["models"]:
-        preds = store.aggregate(PREDICTIONS, [
-            {"$match": {"model_name": name, "split": r["split"]}},
-            {"$sort": {"example_id": 1}},
-        ])
-        if not preds:
-            raise PipelineError(f"report: no predictions for model {name!r} on "
-                                f"split {r['split']!r}")
-        newest = max(p["window_end_ts"] for p in preds)
-        created = newest if created is None else max(created, newest)
-        if "predicted_seconds" in preds[0]:
-            rows.append(_regression_row(store, name, r["split"], preds))
-        else:
-            rows.append(_classification_row(name, r["split"], preds))
-
-    selection = None
-    if r["selection_tag"] is not None:
-        selection = store.get(SELECTIONS, f"selection:{r['selection_tag']}")
-
-    doc = {
-        "_id": f"report:{r['tag']}",
-        "created": created,
-        "split": r["split"],
-        "rows": rows,
-        "table": _render_table(rows),
-        "selection": selection,
-    }
-    insert_new(store, REPORTS, [doc])
-    return doc
 
 
 # ------------------------------------------------------------ run driver

@@ -13,8 +13,17 @@ import json
 import os
 import re
 
-from coldflow.fridgesim import WORKORDER_PATTERNS
-from coldflow.wrangler import DEFAULT_TARGET_BAND_S
+# Two defaults that the simulator and the wrangler also use are defined
+# here, so that loading a config never imports numpy.
+
+# Matches the fault work orders fridgesim.workorders_for_plans writes.
+WORKORDER_PATTERNS = [
+    r"store (?P<store_id>S\d+) fridge (?P<fridge_id>F\d+) (?P<fault_name>[a-z ]+) fault",
+]
+# Plausibility band for defrost durations: anything under 10 minutes is a
+# control blip, anything over 3x a long normal defrost (2700 s) is a fault
+# or a data gap in disguise.
+DEFAULT_TARGET_BAND_S = (600.0, 3 * 2700.0)
 
 # Default window channels. The raw temperatures alone underdetermine a
 # fridge's warming rate over a 32-step window; the first-difference and

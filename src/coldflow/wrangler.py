@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from coldflow.runconfig import DEFAULT_TARGET_BAND_S
 from coldflow.telemetry import UnsortedInput, field_value
 
 log = logging.getLogger(__name__)
@@ -41,10 +42,6 @@ class InsufficientHistory(Exception):
 DEFAULT_FEATURES = ("air_on_temperature", "air_off_temperature")
 DEFAULT_CADENCE_S = 60.0
 DEFAULT_GAP_FACTOR = 3.0
-# Plausibility band for defrost durations: anything under 10 minutes is a
-# control blip, anything over 3x a long normal defrost (2700 s) is a fault
-# or a data gap in disguise.
-DEFAULT_TARGET_BAND_S = (600.0, 3 * 2700.0)
 
 
 # -------------------------------------------------------------- windowing
