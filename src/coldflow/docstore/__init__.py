@@ -2,9 +2,11 @@
 
 Collections are newline-delimited JSON files inside a store directory, one
 canonically serialized document per line. A single writer per store is
-enforced through an advisory lock file; readers open without locking. A
-collection is parsed when a handle first touches it, and the handle sees what
-was flushed by then plus its own writes. Aggregation pipelines use the familiar
+enforced through an advisory lock file; readers open without locking. The
+writer handles of one process share one view of the store, so each sees every
+other's writes and no two store the same ``_id``; a read-only handle sees each
+collection as it was flushed when the handle first touched it. A collection is
+parsed on first touch. Aggregation pipelines use the familiar
 list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
 explicitly documented subset of operators and run over a collection's
 documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, while

@@ -4,9 +4,9 @@ Layout: a store is a directory; each collection ``name`` lives in
 ``<store>/name.ndjson`` with one canonical document per line in insertion
 order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
 
-Collections load lazily: opening a store takes the lock (writers) and lists
-the directory, nothing more. A collection's file is parsed the first time
-the handle touches that collection (``get``, ``has``, ``count``, ``scan``,
+Collections load lazily: opening a store takes the lock (writers) and
+nothing more. A collection's file is parsed the first time a handle's view
+is asked for that collection (``get``, ``has``, ``count``, ``scan``,
 ``aggregate``, ``find_all`` or ``insert_many``), so a task pays only for
 what it reads, and a corrupt file raises CorruptCollection at that touch.
 A final line without its newline is an append cut short by a crash: a
@@ -16,21 +16,23 @@ log a warning.
 Reads: ``get``, ``aggregate`` and ``find_all`` return deep copies the caller
 may change. ``scan`` returns the stored documents themselves, uncopied, for
 read-only passes over a whole collection; changing one would change what
-this handle reads later without changing the file.
+every handle sharing the view reads later without changing the file.
 
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
-writer handles may coexist (e.g. parallel pipeline tasks), their file
-appends serialized through a shared per-store mutex; a writer handle also
-parses under that mutex, so it never reads half of another handle's batch.
-A handle's view of each collection is that collection's flushed state at
-the handle's first touch of it, plus the handle's own writes; reopen to
-see what other handles write after that touch.
+writer handles may coexist (e.g. parallel pipeline tasks), and they share
+one view of the store, held with the lock file: each collection is parsed
+once, and every read, id check and append of every writer handle runs
+under the view's one lock. So a writer handle sees every other writer
+handle's batches, whole, and two handles can never store the same _id.
+The view goes when the last writer handle closes. A read-only handle keeps
+a private view: each collection as it was flushed at the handle's first
+touch of it; reopen to see later writes. A closed handle refuses every
+read and write.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
 import threading
@@ -65,16 +67,16 @@ _LOCK_POLL_S = 0.05
 class _ProcessLockRegistry:
     """Per-process bookkeeping that makes the writer lock reentrant.
 
-    Maps canonical store path -> [refcount, append_mutex]. The append mutex
-    is shared by every writer handle of this process so concurrent
-    insert_many calls append whole lines, never interleaved fragments.
+    Maps canonical store path -> [refcount, view]. The view is shared by
+    every writer handle of this process, so they all check ids against and
+    append to the same collections.
     """
 
     def __init__(self):
         self._guard = threading.Lock()
         self._held: dict[str, list] = {}
 
-    def acquire(self, store_dir: str, lock_path: str, wait_s: float) -> threading.Lock:
+    def acquire(self, store_dir: str, lock_path: str, wait_s: float) -> _View:
         deadline = time.monotonic() + wait_s
         while True:
             with self._guard:
@@ -83,9 +85,9 @@ class _ProcessLockRegistry:
                     state[0] += 1
                     return state[1]
                 if self._try_create(lock_path):
-                    mutex = threading.Lock()
-                    self._held[store_dir] = [1, mutex]
-                    return mutex
+                    view = _View()
+                    self._held[store_dir] = [1, view]
+                    return view
             if time.monotonic() >= deadline:
                 raise LockHeld(f"writer lock busy: {lock_path}")
             time.sleep(_LOCK_POLL_S)
@@ -142,8 +144,7 @@ _REGISTRY = _ProcessLockRegistry()
 
 
 class _Collection:
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.docs: list[dict] = []
         self.by_id: dict[str, int] = {}
 
@@ -152,35 +153,35 @@ class _Collection:
         self.docs.append(doc)
 
 
+class _View:
+    """Parsed collections by name, and the lock that every read and append
+    of them takes."""
+
+    def __init__(self):
+        self.lock = threading.RLock()
+        self.collections: dict[str, _Collection] = {}
+
+
 class DocumentStore:
     """Handle over one store directory. Use :func:`open_store`."""
 
     def __init__(self, path: str, read_only: bool, wait_for_lock_s: float):
         self.path = os.path.abspath(path)
         self.read_only = read_only
-        self._closed = False
-        self._state_lock = threading.RLock()
-        self._append_mutex = None
-        self._collections: dict[str, _Collection] = {}
         os.makedirs(self.path, exist_ok=True)
-        self._names_at_open = {
-            entry[: -len(".ndjson")]
-            for entry in os.listdir(self.path)
-            if entry.endswith(".ndjson")
-        }
-        if not read_only:
-            self._append_mutex = _REGISTRY.acquire(
-                self.path, os.path.join(self.path, ".lock"), wait_for_lock_s
-            )
+        self._view = _View() if read_only else _REGISTRY.acquire(
+            self.path, os.path.join(self.path, ".lock"), wait_for_lock_s
+        )
+        self._closed = False
 
     # ------------------------------------------------------------ lifecycle
 
     def close(self):
-        with self._state_lock:
+        with self._view.lock:
             if self._closed:
                 return
             self._closed = True
-        if self._append_mutex is not None:
+        if not self.read_only:
             _REGISTRY.release(self.path, os.path.join(self.path, ".lock"))
 
     def __enter__(self):
@@ -198,25 +199,25 @@ class DocumentStore:
     # -------------------------------------------------------------- loading
 
     def _touch(self, name: str) -> _Collection:
-        """This handle's view of one collection, parsed on first touch.
+        """One collection of this handle's view, parsed on first touch.
 
-        Call with ``_state_lock`` held. A collection whose file does not
+        Call with the view's lock held. A collection whose file does not
         exist yet starts empty.
         """
-        coll = self._collections.get(name)
+        if self._closed:
+            raise ValueError(f"store {self.path} is closed")
+        coll = self._view.collections.get(name)
         if coll is None:
-            file_path = self._file_for(name)
-            with self._append_mutex or contextlib.nullcontext():
-                coll = self._load_collection(name, file_path, not self.read_only)
-            self._collections[name] = coll
+            coll = self._load_collection(self._file_for(name), not self.read_only)
+            self._view.collections[name] = coll
         return coll
 
     @staticmethod
-    def _load_collection(name: str, file_path: str, writer: bool) -> _Collection:
+    def _load_collection(file_path: str, writer: bool) -> _Collection:
         """Parse one collection file. Every append ends in a newline, so a
         final line without one is a write that never completed: a writer
         truncates it away, a reader skips it; both log it."""
-        coll = _Collection(name)
+        coll = _Collection()
         try:
             fh = open(file_path, "rb")
         except FileNotFoundError:
@@ -253,14 +254,8 @@ class DocumentStore:
 
     # ------------------------------------------------------------------ api
 
-    def collection_names(self) -> list[str]:
-        """Collections on disk at open, plus any this handle has seen filled."""
-        with self._state_lock:
-            filled = {name for name, coll in self._collections.items() if coll.docs}
-            return sorted(self._names_at_open | filled)
-
     def count(self, collection: str) -> int:
-        with self._state_lock:
+        with self._view.lock:
             return len(self._touch(collection).docs)
 
     def insert_many(self, collection: str, docs: list[dict]) -> list[str]:
@@ -274,7 +269,7 @@ class DocumentStore:
         if self.read_only:
             raise ReadOnlyStore("insert_many on a read-only handle")
         prepared = []
-        with self._state_lock:
+        with self._view.lock:
             coll = self._touch(collection)
             batch_ids = set()
             for doc in docs:
@@ -291,17 +286,16 @@ class DocumentStore:
                 prepared.append((doc, canonical_dumps(doc)))
 
             payload = "".join(line + "\n" for _, line in prepared)
-            with self._append_mutex:
-                with open(self._file_for(collection), "a", encoding="utf-8") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+            with open(self._file_for(collection), "a", encoding="utf-8") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
             for doc, _ in prepared:
                 coll.append(doc)
         return [doc["_id"] for doc, _ in prepared]
 
     def get(self, collection: str, doc_id: str) -> dict:
-        with self._state_lock:
+        with self._view.lock:
             coll = self._touch(collection)
             if doc_id not in coll.by_id:
                 raise NotFound(f"{collection}/{doc_id}")
@@ -309,7 +303,7 @@ class DocumentStore:
 
     def has(self, collection: str, doc_id: str) -> bool:
         """Whether the collection holds a document with this _id."""
-        with self._state_lock:
+        with self._view.lock:
             return doc_id in self._touch(collection).by_id
 
     def scan(self, collection: str) -> list[dict]:
@@ -317,10 +311,10 @@ class DocumentStore:
 
         A new list of the stored dicts themselves, so a scan costs no copy
         of any document. Callers must treat every document as read-only: a
-        change would reach this handle's later reads but not the file.
+        change would reach the view's later reads but not the file.
         ``aggregate`` and ``find_all`` return copies.
         """
-        with self._state_lock:
+        with self._view.lock:
             return list(self._touch(collection).docs)
 
     def aggregate(self, collection: str, pipeline) -> list[dict]:
@@ -328,7 +322,7 @@ class DocumentStore:
         AggregationPipeline) over one collection's documents; returns copies."""
         if not isinstance(pipeline, AggregationPipeline):
             pipeline = parse_pipeline(pipeline)
-        with self._state_lock:
+        with self._view.lock:
             docs = list(self._touch(collection).docs)
         return pipeline.run(docs)
 

@@ -16,9 +16,8 @@ defrost durations well is recovering each fridge's warming constant.
 Fault injection ramps a fridge's warming constant up over the two days
 before a work order lands and superimposes a growing slow oscillation
 (compressor hunting); the stream ends at the fault, when the engineer
-switches the unit off. Demand-side-response events are modeled by
-re-simulating a fridge with a forced-off window; the noise sequence is
-drawn per fridge up front, so the pre-event prefix stays bit-identical.
+switches the unit off. The noise sequence is drawn per fridge up front, so
+a faulted run matches the healthy one bit for bit until the ramp starts.
 """
 
 from __future__ import annotations
@@ -148,13 +147,12 @@ def simulate_fridge(
     spec: FridgeSpec,
     config: SimConfig,
     fault: FaultPlan | None = None,
-    dsr_window: tuple | None = None,
 ) -> list[TelemetryRecord]:
     """Run one fridge for the configured span at the telemetry cadence.
 
     The noise sequence is pre-drawn from (seed, fridge_index), so runs with
-    different fault plans or DSR windows share it step for step: records
-    before any behavioral divergence are bit-identical across runs.
+    different fault plans share it step for step: records before any
+    behavioral divergence are bit-identical across runs.
     """
     dt = config.cadence_s
     steps = int(round(config.days * SECONDS_PER_DAY / dt))
@@ -179,12 +177,7 @@ def simulate_fridge(
         t = config.start_ts + i * dt
         if fault is not None and t >= fault.fault_ts:
             break
-        forced_off = dsr_window is not None and dsr_window[0] <= t < dsr_window[1]
-
-        if forced_off:
-            if state == _DEFROST:
-                state = _IDLE
-        elif state != _DEFROST and (i - phase_steps) % period_steps == 0:
+        if state != _DEFROST and (i - phase_steps) % period_steps == 0:
             state = _DEFROST
             defrost_elapsed = 0.0
 
@@ -198,9 +191,9 @@ def simulate_fridge(
             else 0.0
         )
 
-        cooling = state == _COOLING and not forced_off
+        cooling = state == _COOLING
         air_on = temp + oscillation
-        if state == _DEFROST and not forced_off:
+        if state == _DEFROST:
             air_off = air_on + spec.spread
         elif cooling:
             air_off = air_on - spec.spread
@@ -212,7 +205,7 @@ def simulate_fridge(
                 fridge_id=spec.fridge_id,
                 air_on_temperature=air_on,
                 air_off_temperature=air_off,
-                defrost_state=1 if state == _DEFROST and not forced_off else 0,
+                defrost_state=1 if state == _DEFROST else 0,
                 store_id=spec.store_id,
                 extra={"power_kw": spec.power_kw if cooling else 0.0},
             )
@@ -225,9 +218,7 @@ def simulate_fridge(
         else:
             temp += dt * k_warm * (spec.t_ambient - temp) + noise[i]
 
-        if forced_off:
-            state = _COOLING if temp >= spec.t_set_high else _IDLE
-        elif state == _DEFROST:
+        if state == _DEFROST:
             defrost_elapsed += dt
             if temp >= spec.threshold_temp or defrost_elapsed >= config.defrost_max_s:
                 state = _COOLING
@@ -243,20 +234,6 @@ def simulate_fleet(config: SimConfig, fault_plans: list[FaultPlan] | None = None
     plans = {plan.fridge_id: plan for plan in fault_plans or []}
     for spec in fleet_specs(config):
         yield spec, simulate_fridge(spec, config, fault=plans.get(spec.fridge_id))
-
-
-def inject_dsr_event(
-    spec: FridgeSpec, config: SimConfig, event_start: float, event_end: float
-) -> list[TelemetryRecord]:
-    """Re-simulate one fridge with a forced-off (demand response) window.
-
-    During [event_start, event_end) the compressor and defrost timer are
-    held off and the cabinet drifts warm. Records before event_start match
-    the baseline simulation bit for bit.
-    """
-    if event_end <= event_start:
-        raise ValueError("event_end must be after event_start")
-    return simulate_fridge(spec, config, dsr_window=(event_start, event_end))
 
 
 # ------------------------------------------------------ faults and orders

@@ -66,7 +66,6 @@ class WorkerContext:
     index: int
     total: int
     width: int
-    verbose: bool = False
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def run_stage(
         index, spec = pair
         ctx = WorkerContext(
             store_path=store_path, config_path=config_path, stage=stage.name,
-            index=index, total=total, width=stage.pool_width, verbose=verbose,
+            index=index, total=total, width=stage.pool_width,
         )
         if verbose:
             log.info("stage %s: starting %s (%d/%d)", stage.name, spec.name, index + 1, total)

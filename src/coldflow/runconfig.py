@@ -13,6 +13,8 @@ import json
 import os
 import re
 
+from coldflow.docstore.pipeline import PipelineSyntaxError, parse_pipeline
+
 # Two defaults that the simulator and the wrangler also use are defined
 # here, so that loading a config never imports numpy.
 
@@ -229,9 +231,10 @@ def _validate_pipeline_stages(raw, location, base_dir=None):
     if not isinstance(raw, list):
         _fail(location, "must be an array of aggregation stages "
                         "(or a path to a JSON file holding one)")
-    for i, stage in enumerate(raw):
-        if not isinstance(stage, dict) or len(stage) != 1:
-            _fail(f"{location}[{i}]", "each stage must be a single-key object")
+    try:
+        parse_pipeline(raw)
+    except PipelineSyntaxError as exc:
+        _fail(location, str(exc))
     return raw
 
 

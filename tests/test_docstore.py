@@ -1,4 +1,4 @@
-"""Store mechanics: persistence, locking, batch atomicity, indexes, blobs."""
+"""Store mechanics: persistence, locking, batch atomicity, shared views, blobs."""
 
 import json
 import math
@@ -210,7 +210,6 @@ def test_untouched_corrupt_collection_is_never_parsed(tmp_path):
     with open(tmp_path / "s" / "b.ndjson", "a") as fh:
         fh.write("{not json\n")
     with open_store(tmp_path / "s", read_only=True) as store:
-        assert store.collection_names() == ["a", "b"]
         assert store.count("a") == 1
         assert store.get("a", "x") == {"_id": "x", "v": 1}
         assert store.aggregate("a", [{"$match": {"v": 1}}]) == [{"_id": "x", "v": 1}]
@@ -330,6 +329,54 @@ def test_first_touch_waits_for_an_append_in_flight(tmp_path, monkeypatch):
     assert seen == [2]
     a.close()
     b.close()
+
+
+def test_writer_handles_cannot_store_the_same_id(tmp_path):
+    a = open_store(tmp_path / "s")
+    b = open_store(tmp_path / "s")
+    assert a.count("c") == 0 and b.count("c") == 0
+    a.insert_many("c", [{"_id": "x", "by": "a"}])
+    with pytest.raises(DuplicateId):
+        b.insert_many("c", [{"_id": "x", "by": "b"}])
+    a.close()
+    b.close()
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.find_all("c") == [{"_id": "x", "by": "a"}]
+
+
+def test_writer_handles_see_each_others_later_batches(tmp_path):
+    a = open_store(tmp_path / "s")
+    b = open_store(tmp_path / "s")
+    try:
+        a.insert_many("c", [{"_id": "a1"}])
+        assert b.count("c") == 1
+        b.insert_many("c", [{"_id": "b1"}, {"_id": "b2"}])
+        assert a.has("c", "b2")
+        assert a.count("c") == 3
+        assert [d["_id"] for d in a.scan("c")] == ["a1", "b1", "b2"]
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_closed_handle_refuses_reads_and_writes(tmp_path, read_only):
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("c", [{"_id": "a"}])
+    before = (tmp_path / "s" / "c.ndjson").read_bytes()
+    store = open_store(tmp_path / "s", read_only=read_only)
+    assert store.count("c") == 1
+    store.close()
+    store.close()
+    for call in (lambda: store.count("c"), lambda: store.has("c", "a"),
+                 lambda: store.get("c", "a"), lambda: store.scan("c"),
+                 lambda: store.find_all("c"), lambda: store.count("fresh")):
+        with pytest.raises(ValueError, match="closed"):
+            call()
+    with pytest.raises(ReadOnlyStore if read_only else ValueError):
+        store.insert_many("c", [{"_id": "b"}])
+    assert (tmp_path / "s" / "c.ndjson").read_bytes() == before
+    assert not (tmp_path / "s" / ".lock").exists()
 
 
 @pytest.mark.parametrize(

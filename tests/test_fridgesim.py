@@ -1,4 +1,4 @@
-"""Fleet simulator: thermal dynamics, defrost timing, faults, DSR windows."""
+"""Fleet simulator: thermal dynamics, defrost timing, faults, work orders."""
 
 import math
 from dataclasses import replace
@@ -13,7 +13,6 @@ from coldflow.fridgesim import (
     SimConfig,
     WORKORDER_PATTERNS,
     fleet_specs,
-    inject_dsr_event,
     noise_free,
     plan_faults,
     simulate_fleet,
@@ -137,34 +136,6 @@ def test_realistic_noise_stays_physical():
         powers = {r.extra["power_kw"] for r in records}
         assert powers <= {0.0, spec.power_kw}
         assert len(rising_edges(records)) == 4
-
-
-def test_dsr_window_forces_off_and_preserves_prefix():
-    config = noise_free(SimConfig(days=1.0))
-    spec = make_spec()
-    start = config.start_ts + 6 * 3600.0
-    end = start + 3600.0
-    baseline = simulate_fridge(spec, config)
-    shifted = inject_dsr_event(spec, config, start, end)
-    assert len(shifted) == len(baseline)
-    assert shifted[:360] == baseline[:360]
-
-    window = [r for r in shifted if start <= r.timestamp < end]
-    assert len(window) == 60
-    assert all(r.defrost_state == 0 for r in window)
-    assert all(r.extra["power_kw"] == 0.0 for r in window)
-    temps = [r.air_on_temperature for r in window]
-    assert all(b > a for a, b in zip(temps, temps[1:]))
-
-    # The scheduled defrost inside the window is suppressed, not queued:
-    # flag edges simply skip one slot.
-    assert all(not (start <= shifted[e].timestamp < end) for e in rising_edges(shifted))
-
-    after = [r for r in shifted if r.timestamp >= end]
-    assert any(r.extra["power_kw"] > 0 for r in after[:30])
-
-    with pytest.raises(ValueError):
-        inject_dsr_event(spec, config, end, start)
 
 
 def test_fault_plan_ramps_and_truncates():

@@ -105,6 +105,25 @@ def test_select_pipeline_may_reference_a_json_file(tmp_path):
         load_config(str(config_file))
 
 
+@pytest.mark.parametrize("section", ["learn", "infer"])
+def test_select_pipelines_are_parsed_up_front(section):
+    bad = [{"$match": {"fridge_id": "F0001"}}, {"$match": 5}, {"$bogus": 1}]
+    cfg = {"seed": 1, "learn": [{"name": "m", "task": "regression"}]}
+    if section == "infer":
+        cfg["infer"] = [{"model": "m", "select": bad}]
+    else:
+        cfg["learn"][0]["select"] = bad
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert str(err.value) == f"{section}[0].select: stage 1: $match body must be an object"
+    cfg[section][0]["select"] = bad[:1] + bad[2:]
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert str(err.value) == f"{section}[0].select: stage 1: unknown stage '$bogus'"
+    cfg[section][0]["select"] = bad[:1]
+    assert validate_config(cfg)[section][0]["select"] == bad[:1]
+
+
 def test_custom_stages_validated():
     cfg = validate_config({
         "seed": 1,
