@@ -13,6 +13,10 @@ document store and never numpy; ``report`` adds numpy but not the
 network, the simulator or the wrangler; ``infer`` and the training
 commands load ``coldflow.pipelines`` in full.
 
+``ingest`` treats each CSV file as one unit of work and runs the units on
+``pool_width`` processes, this one included; the results are stored in
+file order, so the store is the same at any width.
+
 Resolution order for paths: an explicit flag wins, then the environment
 (STORE_PATH / CONFIG_PATH, set by the orchestrator when this CLI runs as
 an external stage script), then the config's own store_path.
@@ -21,6 +25,8 @@ an external stage script), then the config's own store_path.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -30,7 +36,7 @@ import sys
 import traceback
 
 from coldflow.docstore import open_store
-from coldflow.runconfig import ConfigError, load_config
+from coldflow.runconfig import DEFAULT_POOL_WIDTH, ConfigError, load_config
 from coldflow.telemetry import Setpoints, parse_telemetry_csv
 
 # Nominal retail chill setpoints, used only when ingesting CSVs that
@@ -146,9 +152,59 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
+def _ingest_file(path: pathlib.Path, sidecar: dict, fallback: Setpoints):
+    """Parse one telemetry CSV and make each fridge's rows ready to store.
+
+    Returns the file's batches, one ``(encoded telemetry, ratings)`` pair
+    per run of rows of one fridge, in file order, and its reject count.
+    Touches no store, so a worker process can run it.
+    """
     from coldflow import pipelines
     from coldflow.fridgesim import FLEET_CSV_SCHEMA
+
+    records, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+    batches = []
+    for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
+        pair = sidecar.get(fid)
+        sp = Setpoints(on=pair[0], off=pair[1]) if pair else fallback
+        batches.append(pipelines.fridge_batch(list(group), sp))
+    return batches, len(rejects)
+
+
+@contextlib.contextmanager
+def _in_order_on_processes(fn, items: list, width: int):
+    """Yields an iterator over ``fn(item)`` for each item, in item order.
+
+    Every ``width``-th item, the first included, runs in this process when
+    the iterator reaches it; the rest go at once to ``width - 1`` forked
+    workers. Enter this before opening a store, so no worker inherits a
+    handle or the lock registry. Leaving the block cancels the items no
+    worker has started and waits for every worker to exit.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    farmed = [i for i in range(len(items)) if i % width]
+    if not farmed:
+        yield map(fn, items)
+        return
+    # Forked workers share the imports already made here instead of
+    # importing numpy again. The executor forks them before it starts a
+    # thread; flushing first keeps them from re-emitting buffered output.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(min(width - 1, len(farmed)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {i: pool.submit(fn, items[i]) for i in farmed}
+        yield (futures[i].result() if i in futures else fn(item)
+               for i, item in enumerate(items))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def cmd_ingest(args) -> int:
+    from coldflow import pipelines
 
     config = None
     if _config_path(args) is not None:
@@ -168,16 +224,15 @@ def cmd_ingest(args) -> int:
         on=args.target_on if args.target_on is not None else DEFAULT_TARGET_ON,
         off=args.target_off if args.target_off is not None else DEFAULT_TARGET_OFF,
     )
+    width = config["pool_width"] if config is not None else DEFAULT_POOL_WIDTH
+    unit = functools.partial(_ingest_file, sidecar=sidecar, fallback=fallback)
     inserted = rejected = orders_in = 0
-    with open_store(store_path) as store:
-        for path in csv_paths:
-            records, rejects = parse_telemetry_csv(path.read_text(),
-                                                   FLEET_CSV_SCHEMA)
-            rejected += len(rejects)
-            for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
-                pair = sidecar.get(fid)
-                sp = Setpoints(on=pair[0], off=pair[1]) if pair else fallback
-                count, _ = pipelines.ingest_records(store, list(group), sp)
+    with _in_order_on_processes(unit, csv_paths, width) as results, \
+            open_store(store_path) as store:
+        for batches, rejects in results:
+            rejected += rejects
+            for telemetry, ratings in batches:
+                count, _ = pipelines.store_fridge_batch(store, telemetry, ratings)
                 inserted += count
         if (data / "workorders.json").is_file():
             raw = json.loads((data / "workorders.json").read_text())

@@ -11,8 +11,10 @@ list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
 explicitly documented subset of operators and run over a collection's
 documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, while
 ``scan`` returns a collection's stored documents uncopied, for read-only
-passes. Large binary model artifacts are chunked into a companion
-collection with a manifest and checksum.
+passes. ``encode_documents`` checks and encodes a batch without a store, so
+a worker process can prepare what ``insert_many`` appends. Large binary
+model artifacts are chunked into a companion collection with a manifest and
+checksum.
 """
 
 from coldflow.docstore.documents import (
@@ -31,9 +33,11 @@ from coldflow.docstore.pipeline import (
 from coldflow.docstore.store import (
     DocumentStore,
     DuplicateId,
+    Encoded,
     LockHeld,
     NotFound,
     ReadOnlyStore,
+    encode_documents,
     open_store,
 )
 from coldflow.docstore.blobs import ChecksumMismatch, MODEL_CHUNK_BYTES
@@ -45,12 +49,14 @@ __all__ = [
     "CorruptCollection",
     "DocumentStore",
     "DuplicateId",
+    "Encoded",
     "LockHeld",
     "MODEL_CHUNK_BYTES",
     "NotFound",
     "PipelineSyntaxError",
     "ReadOnlyStore",
     "canonical_dumps",
+    "encode_documents",
     "get_path",
     "json_equals",
     "open_store",

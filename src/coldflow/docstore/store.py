@@ -13,6 +13,13 @@ A final line without its newline is an append cut short by a crash: a
 writer handle truncates it at first touch and a reader skips it, and both
 log a warning.
 
+Writes: ``insert_many`` takes a list of documents, or a batch that
+:func:`encode_documents` already checked and encoded, perhaps in another
+process. After a list, the view keeps the documents; after an encoded
+batch it keeps only their ids, so ``has``, ``count`` and later inserts
+still need no parse, and the next read of the documents reloads the file
+once.
+
 Reads: ``get``, ``aggregate`` and ``find_all`` return deep copies the caller
 may change. ``scan`` returns the stored documents themselves, uncopied, for
 read-only passes over a whole collection; changing one would change what
@@ -38,6 +45,7 @@ import os
 import threading
 import time
 import uuid
+from typing import NamedTuple
 
 from coldflow.docstore.documents import CorruptCollection, canonical_dumps, parse_document_line
 from coldflow.docstore.pipeline import AggregationPipeline, _deep_copy_json, parse_pipeline
@@ -143,13 +151,54 @@ class _ProcessLockRegistry:
 _REGISTRY = _ProcessLockRegistry()
 
 
+class Encoded(NamedTuple):
+    """A batch that :func:`encode_documents` checked: each document's _id
+    and its canonical line, newline included, in batch order."""
+
+    ids: list[str]
+    lines: list[str]
+
+    def take(self, keep: list[int]) -> Encoded:
+        """The documents at the given batch positions, in that order."""
+        return Encoded([self.ids[i] for i in keep], [self.lines[i] for i in keep])
+
+
+def encode_documents(collection: str, docs: list[dict]) -> Encoded:
+    """Check a batch and encode each document to its canonical line.
+
+    Every document must be a dict. One without an _id is encoded with a
+    fresh unique one, the caller's dict untouched; an _id must be a string
+    and appear once in the batch (DuplicateId). Non-finite floats raise
+    ValueError. Needs no store, so a worker process can run it.
+    """
+    ids, lines, seen = [], [], set()
+    for doc in docs:
+        if not isinstance(doc, dict):
+            raise TypeError("documents must be JSON objects")
+        if "_id" not in doc:
+            doc = dict(doc, _id=uuid.uuid4().hex)
+        doc_id = doc["_id"]
+        if not isinstance(doc_id, str):
+            raise TypeError("_id must be a string")
+        if doc_id in seen:
+            raise DuplicateId(f"{collection}: _id {doc_id!r} already present")
+        seen.add(doc_id)
+        ids.append(doc_id)
+        lines.append(canonical_dumps(doc) + "\n")
+    return Encoded(ids, lines)
+
+
 class _Collection:
+    """A collection's ids, each mapped to its line's position, and its
+    documents; ``docs`` is None once an encoded batch was appended
+    without them."""
+
     def __init__(self):
-        self.docs: list[dict] = []
+        self.docs: list[dict] | None = []
         self.by_id: dict[str, int] = {}
 
     def append(self, doc: dict):
-        self.by_id[doc["_id"]] = len(self.docs)
+        self.by_id[doc["_id"]] = len(self.by_id)
         self.docs.append(doc)
 
 
@@ -198,16 +247,17 @@ class DocumentStore:
 
     # -------------------------------------------------------------- loading
 
-    def _touch(self, name: str) -> _Collection:
+    def _touch(self, name: str, docs: bool = True) -> _Collection:
         """One collection of this handle's view, parsed on first touch.
 
         Call with the view's lock held. A collection whose file does not
-        exist yet starts empty.
+        exist yet starts empty. With ``docs``, a collection that holds only
+        ids after an encoded append is parsed again.
         """
         if self._closed:
             raise ValueError(f"store {self.path} is closed")
         coll = self._view.collections.get(name)
-        if coll is None:
+        if coll is None or (docs and coll.docs is None):
             coll = self._load_collection(self._file_for(name), not self.read_only)
             self._view.collections[name] = coll
         return coll
@@ -256,43 +306,39 @@ class DocumentStore:
 
     def count(self, collection: str) -> int:
         with self._view.lock:
-            return len(self._touch(collection).docs)
+            return len(self._touch(collection, docs=False).by_id)
 
-    def insert_many(self, collection: str, docs: list[dict]) -> list[str]:
+    def insert_many(self, collection: str, docs: list[dict] | Encoded) -> list[str]:
         """Insert a batch atomically; returns the assigned ids.
 
-        Validates the whole batch first (shape, canonical serializability,
-        _id uniqueness against both the collection and the batch); only then
-        are lines appended and flushed, so a failed call inserts nothing.
-        Missing _id fields are assigned fresh unique ids.
+        ``docs`` is a list of documents, checked and encoded here by
+        :func:`encode_documents`, or that function's output. Every _id is
+        then checked against the collection; only then are the lines
+        appended and flushed, so a failed call inserts nothing. After an
+        encoded batch the view keeps the collection's ids but not its
+        documents, and the next read of them parses the file.
         """
         if self.read_only:
             raise ReadOnlyStore("insert_many on a read-only handle")
-        prepared = []
+        encoded = docs if isinstance(docs, Encoded) else encode_documents(collection, docs)
         with self._view.lock:
-            coll = self._touch(collection)
-            batch_ids = set()
-            for doc in docs:
-                if not isinstance(doc, dict):
-                    raise TypeError("documents must be JSON objects")
-                doc = dict(doc)
-                if "_id" not in doc:
-                    doc["_id"] = uuid.uuid4().hex
-                if not isinstance(doc["_id"], str):
-                    raise TypeError("_id must be a string")
-                if doc["_id"] in coll.by_id or doc["_id"] in batch_ids:
-                    raise DuplicateId(f"{collection}: _id {doc['_id']!r} already present")
-                batch_ids.add(doc["_id"])
-                prepared.append((doc, canonical_dumps(doc)))
-
-            payload = "".join(line + "\n" for _, line in prepared)
+            coll = self._touch(collection, docs=False)
+            for doc_id in encoded.ids:
+                if doc_id in coll.by_id:
+                    raise DuplicateId(f"{collection}: _id {doc_id!r} already present")
             with open(self._file_for(collection), "a", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.write("".join(encoded.lines))
                 fh.flush()
                 os.fsync(fh.fileno())
-            for doc, _ in prepared:
-                coll.append(doc)
-        return [doc["_id"] for doc, _ in prepared]
+            if isinstance(docs, Encoded):
+                coll.docs = None
+            if coll.docs is None:
+                for doc_id in encoded.ids:
+                    coll.by_id[doc_id] = len(coll.by_id)
+            else:
+                for doc, doc_id in zip(docs, encoded.ids):
+                    coll.append(dict(doc, _id=doc_id))
+        return list(encoded.ids)
 
     def get(self, collection: str, doc_id: str) -> dict:
         with self._view.lock:
@@ -304,7 +350,7 @@ class DocumentStore:
     def has(self, collection: str, doc_id: str) -> bool:
         """Whether the collection holds a document with this _id."""
         with self._view.lock:
-            return doc_id in self._touch(collection).by_id
+            return doc_id in self._touch(collection, docs=False).by_id
 
     def scan(self, collection: str) -> list[dict]:
         """The collection's documents in insertion order, uncopied.

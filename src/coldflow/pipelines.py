@@ -40,7 +40,7 @@ import logging
 
 import numpy as np
 
-from coldflow.docstore import canonical_dumps, open_store
+from coldflow.docstore import Encoded, canonical_dumps, encode_documents, open_store
 from coldflow.docstore.pipeline import sort_key_for
 from coldflow.fridgesim import (
     SimConfig,
@@ -87,8 +87,14 @@ log = logging.getLogger(__name__)
 
 
 def ingest_records(store, records, setpoints: Setpoints) -> tuple[int, int]:
-    """Store the batch's telemetry documents, then one rating per fridge
-    of the batch. Returns the telemetry (inserted, skipped).
+    """Store one sorted batch of readings: :func:`fridge_batch`, then
+    :func:`store_fridge_batch`. Returns the telemetry (inserted, skipped)."""
+    return store_fridge_batch(store, *fridge_batch(records, setpoints))
+
+
+def fridge_batch(records, setpoints: Setpoints) -> tuple[Encoded, list[dict]]:
+    """A batch of readings made ready to store, with no store at hand: its
+    telemetry documents checked and encoded, and one rating per fridge.
 
     A rating holds the batch's peak numeric ``extra.power_kw`` (None when
     it has none). Its _id names the fridge, the batch's first and last
@@ -96,8 +102,15 @@ def ingest_records(store, records, setpoints: Setpoints) -> tuple[int, int]:
     nothing, while a grown file, another batch, or a retry after a crash
     between the two writes each stores its own rating.
     """
-    counts = insert_new(store, TELEMETRY, derive_features(records, setpoints))
-    insert_new(store, FRIDGE_RATINGS, _rating_docs(records))
+    return (encode_documents(TELEMETRY, derive_features(records, setpoints)),
+            _rating_docs(records))
+
+
+def store_fridge_batch(store, telemetry: Encoded, ratings: list[dict]) -> tuple[int, int]:
+    """Append a :func:`fridge_batch`'s telemetry not yet stored, then its
+    ratings. Returns the telemetry (inserted, skipped)."""
+    counts = insert_new(store, TELEMETRY, telemetry)
+    insert_new(store, FRIDGE_RATINGS, ratings)
     return counts
 
 

@@ -27,6 +27,10 @@ WORKORDER_PATTERNS = [
 # or a data gap in disguise.
 DEFAULT_TARGET_BAND_S = (600.0, 3 * 2700.0)
 
+# Worker threads per stage, and processes for ingest, when the config sets
+# no pool_width: one per core of a small machine.
+DEFAULT_POOL_WIDTH = 2
+
 # Default window channels. The raw temperatures alone underdetermine a
 # fridge's warming rate over a 32-step window; the first-difference and
 # setpoint channels carry the rate and the per-fridge operating band.
@@ -394,7 +398,8 @@ def validate_config(data, base_dir=None) -> dict:
     # config (which spells optional sections as null) revalidates cleanly.
     out = {
         "seed": _get_int(data, "config", "seed", 0),
-        "pool_width": _get_int(data, "config", "pool_width", 2, minimum=1),
+        "pool_width": _get_int(data, "config", "pool_width", DEFAULT_POOL_WIDTH,
+                               minimum=1),
         "store_path": _get_string(data, "config", "store_path"),
         "log_level": _get_string(data, "config", "log_level", "warning",
                                  choices=set(LOG_LEVELS)),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from coldflow.docstore import Encoded
+
 log = logging.getLogger(__name__)
 
 TELEMETRY = "telemetry"
@@ -28,16 +30,19 @@ class PipelineError(Exception):
     pass
 
 
-def insert_new(store, collection: str, docs: list[dict]) -> tuple[int, int]:
+def insert_new(store, collection: str, docs: list[dict] | Encoded) -> tuple[int, int]:
     """Insert only documents whose _id is not already present.
 
-    Returns (inserted, skipped). With deterministic ids this makes every
-    writer task idempotent: a re-run finds its output already there.
+    ``docs`` is a list of documents or an encoded batch. Returns
+    (inserted, skipped). With deterministic ids this makes every writer
+    task idempotent: a re-run finds its output already there.
     """
-    fresh = [doc for doc in docs if not store.has(collection, doc["_id"])]
-    if fresh:
-        store.insert_many(collection, fresh)
-    return len(fresh), len(docs) - len(fresh)
+    encoded = isinstance(docs, Encoded)
+    ids = docs.ids if encoded else [doc["_id"] for doc in docs]
+    keep = [i for i, doc_id in enumerate(ids) if not store.has(collection, doc_id)]
+    if keep:
+        store.insert_many(collection, docs.take(keep) if encoded else [docs[i] for i in keep])
+    return len(keep), len(ids) - len(keep)
 
 
 @dataclass(frozen=True)

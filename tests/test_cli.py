@@ -1,6 +1,7 @@
 """CLI exit codes, env-var resolution, and the CSV round trip."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -146,3 +147,69 @@ def test_seed_flag_overrides_config(tmp_path):
     ids_b = {d["_id"] for d in docs["b"]}
     # Different seeds draw different fleets, so the example ids differ.
     assert ids_a != ids_b
+
+
+CSV_HEADER = "TimeStamp,fridgeId,storeId,airOnTemp,airOffTemp,Def,power_kw\n"
+
+
+def csv_rows(fridge, n, power):
+    return [f"{1500000000 + 60 * i}.0,{fridge},S0,{4.0 + 0.25 * (i % 7)},"
+            f"{1.0 - 0.125 * (i % 5)},{int(i % 9 == 0)},{power}\n" for i in range(n)]
+
+
+def csv_fleet(tmp_path):
+    """Five CSVs, more than any pool's workers: b.csv holds two fridges and
+    d.csv has two rejected rows."""
+    tele = tmp_path / "data" / "telemetry"
+    tele.mkdir(parents=True)
+    files = {name: csv_rows(f"F{k}", 20 + k, 1.0 + k) for k, name in
+             enumerate(["a.csv", "b.csv", "c.csv", "d.csv", "e.csv"])}
+    files["b.csv"] += csv_rows("F9", 12, 0.5)
+    files["d.csv"][3:3] = ["later,F3,S0,4.0,1.0,0,1.0\n", "1500009999.0,F3,S0,4.0,1.0,2,1.0\n"]
+    for name, rows in files.items():
+        (tele / name).write_text(CSV_HEADER + "".join(rows))
+    (tmp_path / "data" / "setpoints.json").write_text(json.dumps({"F0": [4.5, 1.5]}))
+    return tmp_path / "data"
+
+
+def ingest_at_width(tmp_path, data, width):
+    config = write_config(tmp_path, extra={"pool_width": width}, name=f"w{width}.json")
+    store = tmp_path / f"store-w{width}"
+    code = main(["ingest", "--config", config, "--store", str(store), "--from", str(data)])
+    return code, store
+
+
+def test_ingest_stores_the_same_bytes_at_any_pool_width(tmp_path, capsys):
+    data = csv_fleet(tmp_path)
+    stored, summaries = [], []
+    for width in (1, 2, 3):
+        code, store = ingest_at_width(tmp_path, data, width)
+        assert code == 0
+        summaries.append(capsys.readouterr().out.replace(str(store), "STORE"))
+        stored.append({name: (store / name).read_bytes()
+                       for name in ("telemetry.ndjson", "fridge_ratings.ndjson")})
+        assert multiprocessing.active_children() == []
+    assert stored[1] == stored[0] and stored[2] == stored[0]
+    assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
+    assert "ingested 122 telemetry records and 0 work orders (2 rejected rows)" \
+        in summaries[0]
+    assert len(stored[0]["fridge_ratings.ndjson"].splitlines()) == 6
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_ingest_failing_in_a_worker_stops_at_that_file(tmp_path, capsys, width):
+    data = csv_fleet(tmp_path)
+    # b.csv is the second file, so a worker parses it at any width above 1.
+    (data / "telemetry" / "b.csv").write_text("TimeStamp,fridgeId,storeId,Def\n1.0,F1,S0,0\n")
+    code, serial = ingest_at_width(tmp_path, data, 1)
+    assert code == 1
+    serial_err = capsys.readouterr().err
+    assert "airOnTemp" in serial_err
+    code, pooled = ingest_at_width(tmp_path, data, width)
+    assert code == 1
+    assert capsys.readouterr().err == serial_err
+    assert multiprocessing.active_children() == []
+    assert (pooled / "telemetry.ndjson").read_bytes() == \
+        (serial / "telemetry.ndjson").read_bytes()
+    with open_store(str(pooled), read_only=True) as store:
+        assert {doc["fridge_id"] for doc in store.scan("telemetry")} == {"F0"}

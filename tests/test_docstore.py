@@ -11,12 +11,14 @@ import pytest
 
 from coldflow.docstore import (
     CorruptCollection,
+    DocumentStore,
     DuplicateId,
     LockHeld,
     MODEL_CHUNK_BYTES,
     NotFound,
     ReadOnlyStore,
     canonical_dumps,
+    encode_documents,
     open_store,
     parse_document_line,
 )
@@ -518,6 +520,54 @@ def test_scan_and_has_see_first_touch_plus_own_writes(tmp_path):
         assert store.has("t", "b")
         with pytest.raises(CorruptCollection):
             store.scan("u")
+
+
+def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monkeypatch):
+    loads = []
+    real_load = DocumentStore._load_collection
+
+    def counting_load(file_path, writer):
+        loads.append(os.path.basename(file_path))
+        return real_load(file_path, writer)
+
+    monkeypatch.setattr(DocumentStore, "_load_collection", staticmethod(counting_load))
+    docs = [{"_id": f"d{i}", "v": i, "m": {"z": [i, 0.5]}} for i in range(6)]
+    store = open_store(tmp_path / "s")
+    store.insert_many("t", docs[:2])
+    assert store.insert_many("t", encode_documents("t", docs[2:4])) == ["d2", "d3"]
+    assert store.has("t", "d3") and not store.has("t", "d9")
+    assert store.count("t") == 4
+    with pytest.raises(DuplicateId):
+        store.insert_many("t", encode_documents("t", docs[3:5]))
+    store.insert_many("t", docs[4:5])
+    store.insert_many("t", encode_documents("t", docs[5:]))
+    assert loads == ["t.ndjson"]
+    # The first read of the documents parses the file once, and sees them all.
+    assert store.scan("t") == docs
+    assert store.get("t", "d5") == docs[5]
+    assert loads == ["t.ndjson"] * 2
+    store.close()
+    with pytest.raises(ValueError, match="closed"):
+        store.has("t", "d0")
+    with open_store(tmp_path / "plain") as plain:
+        plain.insert_many("t", docs)
+    assert (tmp_path / "s" / "t.ndjson").read_bytes() == \
+        (tmp_path / "plain" / "t.ndjson").read_bytes()
+
+
+def test_encode_documents_checks_without_a_store():
+    doc = {"v": 1}
+    encoded = encode_documents("t", [doc, {"_id": "b", "w": [1.5]}])
+    assert doc == {"v": 1}
+    assert encoded.ids[1] == "b" and encoded.lines[1] == '{"_id":"b","w":[1.5]}\n'
+    assert json.loads(encoded.lines[0]) == {"_id": encoded.ids[0], "v": 1}
+    assert encoded.take([1]) == (["b"], ['{"_id":"b","w":[1.5]}\n'])
+    with pytest.raises(DuplicateId):
+        encode_documents("t", [{"_id": "a"}, {"_id": "a"}])
+    with pytest.raises(TypeError):
+        encode_documents("t", [{"_id": 7}])
+    with pytest.raises(ValueError):
+        encode_documents("t", [{"_id": "a", "v": math.nan}])
 
 
 def blob_of(n_bytes: int) -> bytes:
