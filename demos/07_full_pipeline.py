@@ -5,8 +5,8 @@ One config, whole pipeline
 Everything the other demos did by hand, a single JSON-shaped config does
 here: simulate a fleet, wrangle it into examples, train, predict, pick
 fridges for a demand-response window, and write a report. Stages run
-through the worker pool with a barrier between them. Expect around ten
-seconds, most of it training.
+one after another through the orchestrator, each task in config order.
+Expect around ten seconds, most of it training.
 """
 
 import tempfile
@@ -17,7 +17,6 @@ from coldflow.runconfig import validate_config
 
 config = validate_config({
     "seed": 12,
-    "pool_width": 2,
     "simulate": {"n_fridges": 6, "days": 10},
     "wrangle": {"window_len": 16, "test_fraction": 0.2, "val_fraction": 0.15,
                 "target_band_s": [300.0, 8100.0]},

@@ -318,8 +318,7 @@ def cmd_run(args) -> int:
     _setup_logging(args, config)
     store_path = _store_path(args, config)
     reports, ok = pipelines.run_project(store_path, config,
-                                        config_path=config_path,
-                                        verbose=args.verbose)
+                                        config_path=config_path)
     for report in reports:
         status = "ok" if report.ok else "FAILED"
         print(f"stage {report.stage}: {status} ({len(report.events)} scripts)")

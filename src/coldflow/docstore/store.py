@@ -27,7 +27,7 @@ every handle sharing the view reads later without changing the file.
 
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
-writer handles may coexist (e.g. parallel pipeline tasks), and they share
+writer handles may coexist, on one thread or several, and they share
 one view of the store, held with the lock file: each collection is parsed
 once, and every read, id check and append of every writer handle runs
 under the view's one lock. So a writer handle sees every other writer

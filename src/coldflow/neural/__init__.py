@@ -2,12 +2,11 @@
 
 Everything a sequence model needs and nothing more: RNN and LSTM cells,
 stacked many-to-one networks trained by backpropagation through time,
-MAE and cross-entropy losses, Adam, a finite-difference gradient checker,
-and a self-describing binary weight format. All math is float64.
+MAE and cross-entropy losses, Adam, and a self-describing binary weight
+format. All math is float64.
 """
 
 from coldflow.neural.cells import lstm_backward, lstm_forward, rnn_backward, rnn_forward, sigmoid
-from coldflow.neural.gradcheck import GradCheckResult, finite_difference_check
 from coldflow.neural.losses import cce_loss, mae_loss, softmax
 from coldflow.neural.network import NetworkSpec, backward, forward, init_params
 from coldflow.neural.optim import (
@@ -33,7 +32,6 @@ __all__ = [
     "AdamState",
     "DivergedLoss",
     "EpochStats",
-    "GradCheckResult",
     "ModelArtifact",
     "NetworkSpec",
     "TrainConfig",
@@ -42,7 +40,6 @@ __all__ = [
     "backward",
     "cce_loss",
     "clip_gradients",
-    "finite_difference_check",
     "forward",
     "from_bytes",
     "global_norm",

@@ -1,19 +1,22 @@
-"""Staged worker-pool orchestration.
+"""Staged orchestration.
 
-A pipeline is a sequence of stages; each stage is a list of scripts that
-may run concurrently, throttled by a pool width (a sliding window of at
-most ``pool_width`` scripts in flight). Stages are hard barriers: every
-script in stage N finishes before stage N+1 starts, because later stages
-read what earlier ones wrote.
+A pipeline is a sequence of stages; each stage is a list of scripts.
+Stages are hard barriers: every script in stage N finishes before stage
+N+1 starts, because later stages read what earlier ones wrote.
 
 Scripts come in two kinds. Builtins are Python callables from a registry,
-run on worker threads and handed a WorkerContext. Externals are argv lists
-run as subprocesses with the context exported through environment
-variables (PE_INDEX, PE_TOTAL, WINDOW_WIDTH, STAGE, STORE_PATH,
-CONFIG_PATH) plus any per-script flags appended to the command line; exit
-status 0 is success. A failing script never cancels its siblings: the
-stage drains fully and reports every outcome, with monotonic start/end
-times for each script so the actual schedule can be audited afterwards.
+handed a WorkerContext. They spend their run in the interpreter, where
+threads would only take turns, so a stage with any builtin runs its
+scripts one after another, in index order, on the calling thread, and what
+they write lands in a fixed order. Externals are argv lists run as
+subprocesses with the context exported through environment variables
+(PE_INDEX, PE_TOTAL, WINDOW_WIDTH, STAGE, STORE_PATH, CONFIG_PATH) plus
+any per-script flags appended to the command line; exit status 0 is
+success. A stage of externals alone runs on a pool of threads that wait on
+the children: a sliding window of at most ``pool_width`` scripts in
+flight. A failing script never cancels its siblings: the stage drains
+fully and reports every outcome, with monotonic start/end times for each
+script so the actual schedule can be audited afterwards.
 """
 
 from __future__ import annotations
@@ -155,9 +158,9 @@ def run_stage(
     registry: dict,
     store_path: str,
     config_path: str | None = None,
-    verbose: bool = False,
 ) -> StageReport:
-    """Run one stage's scripts through a pool of stage.pool_width workers."""
+    """Run one stage's scripts: in index order on this thread when any is a
+    builtin, else on a pool of stage.pool_width threads."""
     total = len(stage.scripts)
     if total == 0:
         return StageReport(stage=stage.name, events=())
@@ -168,8 +171,7 @@ def run_stage(
             store_path=store_path, config_path=config_path, stage=stage.name,
             index=index, total=total, width=stage.pool_width,
         )
-        if verbose:
-            log.info("stage %s: starting %s (%d/%d)", stage.name, spec.name, index + 1, total)
+        log.debug("stage %s: starting %s (%d/%d)", stage.name, spec.name, index + 1, total)
         event = (
             _run_builtin(spec, registry, ctx)
             if spec.builtin is not None
@@ -177,13 +179,16 @@ def run_stage(
         )
         if not event.ok:
             log.warning("stage %s: %s failed: %s", stage.name, spec.name, event.error)
-        elif verbose:
-            log.info("stage %s: %s finished in %.2fs", stage.name, spec.name,
-                     event.end_s - event.start_s)
+        else:
+            log.debug("stage %s: %s finished in %.2fs", stage.name, spec.name,
+                      event.end_s - event.start_s)
         return event
 
-    with ThreadPoolExecutor(max_workers=stage.pool_width) as pool:
-        events = tuple(pool.map(run_one, enumerate(stage.scripts)))
+    if any(spec.builtin is not None for spec in stage.scripts):
+        events = tuple(map(run_one, enumerate(stage.scripts)))
+    else:
+        with ThreadPoolExecutor(max_workers=stage.pool_width) as pool:
+            events = tuple(pool.map(run_one, enumerate(stage.scripts)))
     return StageReport(stage=stage.name, events=events)
 
 
@@ -192,7 +197,6 @@ def run_pipeline(
     registry: dict,
     store_path: str,
     config_path: str | None = None,
-    verbose: bool = False,
 ) -> list[StageReport]:
     """Run stages in order with a full barrier between consecutive stages.
 
@@ -201,7 +205,7 @@ def run_pipeline(
     """
     reports = []
     for stage in stages:
-        report = run_stage(stage, registry, store_path, config_path, verbose)
+        report = run_stage(stage, registry, store_path, config_path)
         reports.append(report)
         if not report.ok:
             log.error("pipeline stopped: stage %s had %d failure(s)",

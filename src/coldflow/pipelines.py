@@ -10,14 +10,13 @@ re-running a stage is harmless.
 Nothing in this module reads the wall clock. Model ids hash their content,
 report timestamps come from the data's own time axis, and every random
 draw is seeded from the config, so two runs from the same config write the
-same documents. Every collection file is byte-identical between the two
-runs except ``models``, ``model_index`` and ``model_chunks``: at a
-``pool_width`` above 1 the learn tasks append to those in the order their
-trainings finish, so those files hold the same lines in either order.
+same documents. The orchestrator runs these tasks one at a time in config
+order, so every collection file, the model files included, is
+byte-identical between the two runs.
 
 Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
-hands each worker the store path and the validated config. The one
+hands each task the store path and the validated config. The one
 wrangle task builds every fridge's block in one uncopied scan of the
 stored telemetry documents, with no per-fridge query, and cuts
 both kinds of example from the blocks. Ingest also
@@ -527,7 +526,6 @@ def _task_infer(ctx, config, index):
 
 
 REGISTRY = {
-    "simulate": _with_store(simulate_into_store),
     "wrangle_dsr": _with_store(wrangle),  # bench traces name task spans by key
     "learn": _task_learn,
     "infer": _task_infer,
@@ -540,14 +538,11 @@ def build_stages(config: dict):
     """Translate a validated config into orchestrator stages."""
     from coldflow.orchestrator import ScriptSpec, StageSpec
 
-    width = config["pool_width"]
-    stages = []
-    stages.append(StageSpec(
+    stages = [StageSpec(
         name="wrangle",
         scripts=(ScriptSpec(name="wrangle_dsr", builtin="wrangle_dsr",
                             args={"config": config}),),
-        pool_width=width,
-    ))
+    )]
     if config["learn"]:
         stages.append(StageSpec(
             name="learn",
@@ -556,10 +551,8 @@ def build_stages(config: dict):
                            args={"config": config, "name": entry["name"]})
                 for entry in config["learn"]
             ),
-            pool_width=width,
         ))
     if config["infer"]:
-        # Width 1: prediction documents land in a stable order.
         stages.append(StageSpec(
             name="infer",
             scripts=tuple(
@@ -567,7 +560,6 @@ def build_stages(config: dict):
                            args={"config": config, "index": i})
                 for i, entry in enumerate(config["infer"])
             ),
-            pool_width=1,
         ))
     serve_scripts = []
     if config["select"] is not None:
@@ -577,8 +569,7 @@ def build_stages(config: dict):
         serve_scripts.append(ScriptSpec(name="report", builtin="report",
                                         args={"config": config}))
     if serve_scripts:
-        stages.append(StageSpec(name="serve", scripts=tuple(serve_scripts),
-                                pool_width=1))
+        stages.append(StageSpec(name="serve", scripts=tuple(serve_scripts)))
     # User-supplied external stages run last; the orchestrator hands them
     # the store and config through PE_*/STORE_PATH/CONFIG_PATH env vars.
     for stage in config.get("stages") or []:
@@ -595,8 +586,7 @@ def build_stages(config: dict):
     return stages
 
 
-def run_project(store_path: str, config: dict, config_path: str | None = None,
-                verbose: bool = False):
+def run_project(store_path: str, config: dict, config_path: str | None = None):
     """Full pipeline: simulate/ingest, then staged wrangle-learn-infer-serve.
 
     Returns (stage_reports, ok). Simulation and ingest run sequentially up
@@ -610,7 +600,6 @@ def run_project(store_path: str, config: dict, config_path: str | None = None,
         with open_store(store_path, wait_for_lock_s=60.0) as store:
             simulate_into_store(store, config)
     stages = build_stages(config)
-    reports = run_pipeline(stages, REGISTRY, store_path, config_path=config_path,
-                           verbose=verbose)
+    reports = run_pipeline(stages, REGISTRY, store_path, config_path=config_path)
     ok = all(report.ok for report in reports) and len(reports) == len(stages)
     return reports, ok

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
 from naive_agg import evaluate as naive_evaluate
 from test_aggregation import random_docs, random_pipeline
 
@@ -30,7 +31,6 @@ from coldflow.fridgesim import (
 )
 from coldflow.neural import (
     NetworkSpec,
-    finite_difference_check,
     from_bytes,
     predict_values,
     to_bytes,

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
+
 from coldflow.neural import (
     AdamConfig,
     AdamState,
@@ -15,7 +17,6 @@ from coldflow.neural import (
     adam_step,
     cce_loss,
     clip_gradients,
-    finite_difference_check,
     forward,
     from_bytes,
     global_norm,

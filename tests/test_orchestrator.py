@@ -1,4 +1,4 @@
-"""Worker pools: width limits, barriers, failure isolation, subprocess env."""
+"""Stages: width limits, serial builtins, barriers, failure isolation, subprocess env."""
 
 import sys
 import threading
@@ -37,30 +37,41 @@ def test_script_spec_validation():
 
 
 def test_pool_width_caps_concurrency():
-    active = {"now": 0, "peak": 0}
-    lock = threading.Lock()
-
-    def sleeper(ctx, duration=0.03):
-        with lock:
-            active["now"] += 1
-            active["peak"] = max(active["peak"], active["now"])
-        time.sleep(duration)
-        with lock:
-            active["now"] -= 1
-
+    # External scripts each sleep in their own child process; the pool's
+    # threads only wait on them.
+    sleep = (sys.executable, "-c", "import time; time.sleep(0.05)")
     stage = StageSpec(
-        name="learn",
-        scripts=tuple(ScriptSpec(name=f"s{i}", builtin="sleeper") for i in range(6)),
+        name="post",
+        scripts=tuple(ScriptSpec(name=f"s{i}", command=sleep) for i in range(6)),
         pool_width=2,
     )
-    report = run_stage(stage, {"sleeper": sleeper}, store_path="/tmp/ignored")
+    report = run_stage(stage, {}, store_path="/tmp/ignored")
     assert report.ok
     assert len(report.events) == 6
-    assert active["peak"] <= 2
     assert max_concurrency(report.events) <= 2
     # With 6 scripts of equal length through 2 workers, the pool is
     # actually used: some pair overlaps.
     assert max_concurrency(report.events) == 2
+
+
+def test_builtins_run_in_order_on_the_calling_thread():
+    threads = []
+
+    def probe(ctx):
+        threads.append(threading.get_ident())
+        time.sleep(0.01)
+
+    stage = StageSpec(
+        name="learn",
+        scripts=tuple(ScriptSpec(name=f"s{i}", builtin="probe") for i in range(4)),
+        pool_width=2,
+    )
+    report = run_stage(stage, {"probe": probe}, store_path="/tmp/ignored")
+    assert report.ok
+    assert [e.index for e in report.events] == [0, 1, 2, 3]
+    for before, after in zip(report.events, report.events[1:]):
+        assert before.end_s <= after.start_s
+    assert threads == [threading.get_ident()] * 4
 
 
 def test_context_fields_and_results():
