@@ -14,8 +14,10 @@ network, the simulator or the wrangler; ``infer`` and the training
 commands load ``coldflow.pipelines`` in full.
 
 ``ingest`` treats each CSV file as one unit of work and runs the units on
-``pool_width`` processes, this one included; the results are stored in
-file order, so the store is the same at any width.
+``pool_width`` processes, this one included, through
+:func:`coldflow.processes.in_order_on_processes`, which ``wrangle`` also
+uses to read the stored telemetry; the results are stored in file order,
+so the store is the same at any width.
 
 Resolution order for paths: an explicit flag wins, then the environment
 (STORE_PATH / CONFIG_PATH, set by the orchestrator when this CLI runs as
@@ -25,7 +27,6 @@ an external stage script), then the config's own store_path.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -36,6 +37,7 @@ import sys
 import traceback
 
 from coldflow.docstore import open_store
+from coldflow.processes import in_order_on_processes
 from coldflow.runconfig import DEFAULT_POOL_WIDTH, ConfigError, load_config
 from coldflow.telemetry import Setpoints, parse_telemetry_csv
 
@@ -171,38 +173,6 @@ def _ingest_file(path: pathlib.Path, sidecar: dict, fallback: Setpoints):
     return batches, len(rejects)
 
 
-@contextlib.contextmanager
-def _in_order_on_processes(fn, items: list, width: int):
-    """Yields an iterator over ``fn(item)`` for each item, in item order.
-
-    Every ``width``-th item, the first included, runs in this process when
-    the iterator reaches it; the rest go at once to ``width - 1`` forked
-    workers. Enter this before opening a store, so no worker inherits a
-    handle or the lock registry. Leaving the block cancels the items no
-    worker has started and waits for every worker to exit.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    farmed = [i for i in range(len(items)) if i % width]
-    if not farmed:
-        yield map(fn, items)
-        return
-    # Forked workers share the imports already made here instead of
-    # importing numpy again. The executor forks them before it starts a
-    # thread; flushing first keeps them from re-emitting buffered output.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(min(width - 1, len(farmed)),
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = {i: pool.submit(fn, items[i]) for i in farmed}
-        yield (futures[i].result() if i in futures else fn(item)
-               for i, item in enumerate(items))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def cmd_ingest(args) -> int:
     from coldflow import pipelines
 
@@ -227,7 +197,7 @@ def cmd_ingest(args) -> int:
     width = config["pool_width"] if config is not None else DEFAULT_POOL_WIDTH
     unit = functools.partial(_ingest_file, sidecar=sidecar, fallback=fallback)
     inserted = rejected = orders_in = 0
-    with _in_order_on_processes(unit, csv_paths, width) as results, \
+    with in_order_on_processes(unit, csv_paths, width) as results, \
             open_store(store_path) as store:
         for batches, rejects in results:
             rejected += rejects

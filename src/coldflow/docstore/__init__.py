@@ -11,10 +11,11 @@ list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
 explicitly documented subset of operators and run over a collection's
 documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, while
 ``scan`` returns a collection's stored documents uncopied, for read-only
-passes. ``encode_documents`` checks and encodes a batch without a store, so
-a worker process can prepare what ``insert_many`` appends. Large binary
-model artifacts are chunked into a companion collection with a manifest and
-checksum.
+passes, and ``map_ranges`` reads a large collection in byte ranges on
+forked processes without keeping its documents. ``encode_documents``
+checks and encodes a batch without a store, so a worker process can
+prepare what ``insert_many`` appends. Large binary model artifacts are
+chunked into a companion collection with a manifest and checksum.
 """
 
 from coldflow.docstore.documents import (

@@ -7,11 +7,13 @@ order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
 Collections load lazily: opening a store takes the lock (writers) and
 nothing more. A collection's file is parsed the first time a handle's view
 is asked for that collection (``get``, ``has``, ``count``, ``scan``,
-``aggregate``, ``find_all`` or ``insert_many``), so a task pays only for
-what it reads, and a corrupt file raises CorruptCollection at that touch.
-A final line without its newline is an append cut short by a crash: a
-writer handle truncates it at first touch and a reader skips it, and both
-log a warning.
+``aggregate``, ``find_all``, ``absent`` or ``insert_many``), so a task
+pays only for what it reads, and a corrupt file raises CorruptCollection
+at that touch. A writer's first ``has``, ``absent``, ``count`` or
+``insert_many`` keeps only the collection's ids; the first read of its
+documents parses the file again. A final line without its newline is an
+append cut short by a crash: a writer handle truncates it at first touch
+and a reader skips it, and both log a warning.
 
 Writes: ``insert_many`` takes a list of documents, or a batch that
 :func:`encode_documents` already checked and encoded, perhaps in another
@@ -24,6 +26,11 @@ Reads: ``get``, ``aggregate`` and ``find_all`` return deep copies the caller
 may change. ``scan`` returns the stored documents themselves, uncopied, for
 read-only passes over a whole collection; changing one would change what
 every handle sharing the view reads later without changing the file.
+``map_ranges`` reads a large collection without the view: it splits the
+file's complete lines into byte ranges, reads them on forked processes,
+and returns what a caller's function made of each range's documents
+(the wrangle stage's telemetry columns), checking every line as a first
+touch does.
 
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
@@ -40,6 +47,7 @@ read and write.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import threading
@@ -49,6 +57,7 @@ from typing import NamedTuple
 
 from coldflow.docstore.documents import CorruptCollection, canonical_dumps, parse_document_line
 from coldflow.docstore.pipeline import AggregationPipeline, _deep_copy_json, parse_pipeline
+from coldflow.processes import in_order_on_processes
 
 log = logging.getLogger(__name__)
 
@@ -190,8 +199,8 @@ def encode_documents(collection: str, docs: list[dict]) -> Encoded:
 
 class _Collection:
     """A collection's ids, each mapped to its line's position, and its
-    documents; ``docs`` is None once an encoded batch was appended
-    without them."""
+    documents; ``docs`` is None when a first touch kept only the ids, or
+    once an encoded batch was appended without them."""
 
     def __init__(self):
         self.docs: list[dict] | None = []
@@ -209,6 +218,103 @@ class _View:
     def __init__(self):
         self.lock = threading.RLock()
         self.collections: dict[str, _Collection] = {}
+
+
+def _complete_size(file_path: str, writer: bool) -> int:
+    """The length of the file's complete lines; 0 when there is no file.
+
+    Every append ends in a newline, so a final line without one is a write
+    that never completed: a writer truncates it away, a reader leaves it
+    out; both log it.
+    """
+    try:
+        fh = open(file_path, "rb")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
+            return size
+        fh.seek(0)
+        end = line_no = 0
+        for raw in fh:  # only after a crash: find the torn line and its number
+            line_no += 1
+            if raw.endswith(b"\n"):
+                end += len(raw)
+    if writer:
+        os.truncate(file_path, end)
+    log.warning("%s:%d: %s an incomplete final line (%d bytes)", file_path, line_no,
+                "truncated" if writer else "skipped", size - end)
+    return end
+
+
+def _lines(file_path: str, start: int, end: int):
+    """The lines in bytes [start, end) of a file, which hold whole lines,
+    each without its newline."""
+    if start >= end:
+        return
+    with open(file_path, "rb") as fh:
+        fh.seek(start)
+        for raw in fh:
+            yield raw[:-1]
+            start += len(raw)
+            if start >= end:
+                return
+
+
+def _checked_document(raw: bytes, file_path: str, line_no: int) -> dict | None:
+    """One stored line, checked as every read of a collection file checks
+    it: utf-8, one JSON object with no repeated key, and an _id. None for
+    an empty line; CorruptCollection names the path and line otherwise."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptCollection(file_path, line_no, str(exc)) from None
+    if not line:
+        return None
+    doc = parse_document_line(line, file_path, line_no)
+    if "_id" not in doc:
+        raise CorruptCollection(file_path, line_no, "document lacks _id")
+    return doc
+
+
+def _line_spans(file_path: str, end: int, parts: int) -> list[tuple[int, int]]:
+    """Split bytes [0, end) of a file, whole lines, into at most ``parts``
+    (start, end) ranges of about equal size that hold whole lines."""
+    cuts = [0]
+    if end:
+        with open(file_path, "rb") as fh:
+            for k in range(1, parts):
+                fh.seek(max(end * k // parts, cuts[-1]))
+                fh.readline()
+                if fh.tell() >= end:
+                    break
+                cuts.append(fh.tell())
+    return list(zip(cuts, cuts[1:] + [end]))
+
+
+def _read_span(file_path: str, fn, span: tuple[int, int]):
+    """``(ids, fn(documents))`` for the documents in one byte range of a
+    collection file, each checked by :func:`_checked_document`; ``(None,
+    None)`` when a line is corrupt. Needs no handle, so a worker runs it."""
+    ids = []
+
+    def documents():
+        for raw in _lines(file_path, *span):
+            doc = _checked_document(raw, file_path, 0)
+            if doc is not None:
+                ids.append(doc["_id"])
+                yield doc
+
+    docs = documents()
+    try:
+        result = fn(docs)
+        for _ in docs:  # every line is checked, even past where fn stopped
+            pass
+    except CorruptCollection:
+        return None, None
+    return ids, result
 
 
 class DocumentStore:
@@ -251,50 +357,39 @@ class DocumentStore:
         """One collection of this handle's view, parsed on first touch.
 
         Call with the view's lock held. A collection whose file does not
-        exist yet starts empty. With ``docs``, a collection that holds only
-        ids after an encoded append is parsed again.
+        exist yet starts empty. Without ``docs`` a writer's first touch
+        keeps only the ids; a reader's keeps the documents, which are its
+        snapshot. With ``docs``, a collection that holds only ids is
+        parsed again.
         """
         if self._closed:
             raise ValueError(f"store {self.path} is closed")
         coll = self._view.collections.get(name)
         if coll is None or (docs and coll.docs is None):
-            coll = self._load_collection(self._file_for(name), not self.read_only)
+            coll = self._load_collection(self._file_for(name), not self.read_only,
+                                         docs=docs or self.read_only)
             self._view.collections[name] = coll
         return coll
 
     @staticmethod
-    def _load_collection(file_path: str, writer: bool) -> _Collection:
-        """Parse one collection file. Every append ends in a newline, so a
-        final line without one is a write that never completed: a writer
-        truncates it away, a reader skips it; both log it."""
+    def _load_collection(file_path: str, writer: bool, docs: bool = True) -> _Collection:
+        """Parse one collection file, keeping its documents, or with
+        ``docs`` false only their ids. Its complete lines only: see
+        :func:`_complete_size`."""
         coll = _Collection()
-        try:
-            fh = open(file_path, "rb")
-        except FileNotFoundError:
-            return coll
-        with fh:
-            for line_no, raw in enumerate(fh, start=1):
-                if not raw.endswith(b"\n"):
-                    if writer:
-                        os.truncate(file_path, os.path.getsize(file_path) - len(raw))
-                    log.warning("%s:%d: %s an incomplete final line (%d bytes)",
-                                file_path, line_no,
-                                "truncated" if writer else "skipped", len(raw))
-                    break
-                try:
-                    line = raw[:-1].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CorruptCollection(file_path, line_no, str(exc)) from None
-                if not line:
-                    continue
-                doc = parse_document_line(line, file_path, line_no)
-                if "_id" not in doc:
-                    raise CorruptCollection(file_path, line_no, "document lacks _id")
-                if doc["_id"] in coll.by_id:
-                    raise CorruptCollection(
-                        file_path, line_no, f"duplicate _id {doc['_id']!r}"
-                    )
+        if not docs:
+            coll.docs = None
+        lines = _lines(file_path, 0, _complete_size(file_path, writer))
+        for line_no, raw in enumerate(lines, start=1):
+            doc = _checked_document(raw, file_path, line_no)
+            if doc is None:
+                continue
+            if doc["_id"] in coll.by_id:
+                raise CorruptCollection(file_path, line_no, f"duplicate _id {doc['_id']!r}")
+            if docs:
                 coll.append(doc)
+            else:
+                coll.by_id[doc["_id"]] = len(coll.by_id)
         return coll
 
     def _file_for(self, name: str) -> str:
@@ -351,6 +446,52 @@ class DocumentStore:
         """Whether the collection holds a document with this _id."""
         with self._view.lock:
             return doc_id in self._touch(collection, docs=False).by_id
+
+    def absent(self, collection: str, ids: list[str]) -> list[int]:
+        """The positions, in order, of the ids the collection does not hold,
+        all checked under one lock."""
+        with self._view.lock:
+            stored = self._touch(collection, docs=False).by_id
+            return [i for i, doc_id in enumerate(ids) if doc_id not in stored]
+
+    def map_ranges(self, collection: str, fn, width: int) -> list:
+        """``fn`` over the collection's documents, one call per byte range.
+
+        The file's complete lines (see :func:`_complete_size`, applied under
+        the view's lock) are split into at most ``width`` ranges of whole
+        lines. ``fn`` gets an iterator over one range's documents, checked
+        line by line as a first touch checks them, and its results come
+        back in file order. The first range is read here and the others on
+        forked workers (:func:`coldflow.processes.in_order_on_processes`),
+        so ``fn`` and what it returns must pickle. The documents never
+        enter the view, and a worker uses no handle. An _id must be unique
+        across the whole file: after a duplicate, a corrupt line or a
+        failing ``fn``, the file is checked once more as a first touch
+        checks it, so a CorruptCollection names the path and line exactly
+        as ``count`` or ``scan`` would.
+        """
+        with self._view.lock:
+            if self._closed:
+                raise ValueError(f"store {self.path} is closed")
+            file_path = self._file_for(collection)
+            spans = _line_spans(file_path, _complete_size(file_path, not self.read_only),
+                                width)
+        results, seen, count, error = [], set(), 0, None
+        try:
+            with in_order_on_processes(functools.partial(_read_span, file_path, fn),
+                                       spans, width) as parts:
+                for ids, result in parts:
+                    if ids is None:
+                        break
+                    seen.update(ids)
+                    count += len(ids)
+                    results.append(result)
+        except Exception as exc:
+            error = exc
+        if error is not None or len(results) < len(spans) or len(seen) < count:
+            self._load_collection(file_path, writer=False, docs=False)
+            raise error or CorruptCollection(file_path, 0, "changed while it was read")
+        return results
 
     def scan(self, collection: str) -> list[dict]:
         """The collection's documents in insertion order, uncopied.

@@ -17,9 +17,10 @@ byte-identical between the two runs.
 Tasks are exposed twice: as plain functions over an open store (library
 use, tests) and as builtins in REGISTRY for the stage orchestrator, which
 hands each task the store path and the validated config. The one
-wrangle task builds every fridge's block in one uncopied scan of the
-stored telemetry documents, with no per-fridge query, and cuts
-both kinds of example from the blocks. Ingest also
+wrangle task reads the stored telemetry straight into columns, on
+``pool_width`` processes, and never holds its documents; it builds every
+fridge's block from those columns and cuts both kinds of example from the
+blocks. Ingest also
 writes each fridge batch's peak power to ``fridge_ratings``, so selection
 reads a few small documents and never parses telemetry.
 
@@ -33,6 +34,7 @@ names as the same objects and holds every other task.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -40,7 +42,6 @@ import logging
 import numpy as np
 
 from coldflow.docstore import Encoded, canonical_dumps, encode_documents, open_store
-from coldflow.docstore.pipeline import sort_key_for
 from coldflow.fridgesim import (
     SimConfig,
     fleet_specs,
@@ -72,10 +73,11 @@ from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
     balance_classes,
+    document_columns,
     extract_defrost_examples,
-    fridge_series,
     merge_faults,
     shift_for_lead_time,
+    sorted_fridge_series,
     split_dataset,
 )
 
@@ -140,16 +142,18 @@ def ingest_workorders(store, orders) -> tuple[int, int]:
     return insert_new(store, WORKORDERS, docs)
 
 
-def telemetry_blocks(store, feature_names) -> dict:
+def telemetry_blocks(store, feature_names, width: int = 1) -> dict:
     """Every fridge's FridgeSeries, keyed in sorted fridge-id order.
 
-    One uncopied scan of the stored documents, stable-sorted by timestamp
-    in the order ``$sort`` uses and then by fridge id, so each fridge's
-    readings run forwards in time even from a batch ingested out of order.
+    The stored telemetry is read as columns, on ``width`` processes, one
+    byte range of the file each (``DocumentStore.map_ranges``); no
+    document is kept. Each fridge's readings are stable-sorted by
+    timestamp in the order ``$sort`` uses, so they run forwards in time
+    even from a batch ingested out of order.
     """
-    docs = sorted(store.scan(TELEMETRY), key=lambda doc: sort_key_for(doc, "timestamp"))
-    docs.sort(key=lambda doc: doc["fridge_id"])
-    return fridge_series(docs, feature_names)
+    parts = store.map_ranges(
+        TELEMETRY, functools.partial(document_columns, feature_names=feature_names), width)
+    return sorted_fridge_series(parts, feature_names)
 
 
 # --------------------------------------------------------------- wrangle
@@ -177,7 +181,7 @@ def wrangle(store, config: dict) -> dict:
     """Build every fridge's block once, then cut and store defrost examples
     and, with a faults section, fault windows. Returns both summaries as
     ``{"dsr": ..., "faults": ... or None}``."""
-    blocks = telemetry_blocks(store, config["wrangle"]["features"])
+    blocks = telemetry_blocks(store, config["wrangle"]["features"], config["pool_width"])
     summary = {"dsr": _cut_dsr_examples(store, blocks, config), "faults": None}
     if config["faults"] is not None:
         summary["faults"] = _cut_fault_examples(store, blocks, config)

@@ -27,8 +27,8 @@ WORKORDER_PATTERNS = [
 # or a data gap in disguise.
 DEFAULT_TARGET_BAND_S = (600.0, 3 * 2700.0)
 
-# Processes for ingest when the config sets no pool_width: one per core of
-# a small machine.
+# Processes for ingest and for the wrangle stage's telemetry read when the
+# config sets no pool_width: one per core of a small machine.
 DEFAULT_POOL_WIDTH = 2
 
 # Default window channels. The raw temperatures alone underdetermine a

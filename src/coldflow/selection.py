@@ -33,13 +33,14 @@ class PipelineError(Exception):
 def insert_new(store, collection: str, docs: list[dict] | Encoded) -> tuple[int, int]:
     """Insert only documents whose _id is not already present.
 
-    ``docs`` is a list of documents or an encoded batch. Returns
-    (inserted, skipped). With deterministic ids this makes every writer
-    task idempotent: a re-run finds its output already there.
+    ``docs`` is a list of documents or an encoded batch, whose ids are
+    checked against the collection in one call. Returns (inserted,
+    skipped). With deterministic ids this makes every writer task
+    idempotent: a re-run finds its output already there.
     """
     encoded = isinstance(docs, Encoded)
     ids = docs.ids if encoded else [doc["_id"] for doc in docs]
-    keep = [i for i, doc_id in enumerate(ids) if not store.has(collection, doc_id)]
+    keep = store.absent(collection, ids)
     if keep:
         store.insert_many(collection, docs.take(keep) if encoded else [docs[i] for i in keep])
     return len(keep), len(ids) - len(keep)

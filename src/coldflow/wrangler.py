@@ -1,8 +1,10 @@
 """Data wrangling: example extraction and dataset splitting.
 
-Each fridge's telemetry becomes one :class:`FridgeSeries`, built once from
-its stored documents: timestamps, defrost flags and a feature matrix as
-numpy arrays. Supervised examples are cut from those blocks. For
+Each fridge's telemetry becomes one :class:`FridgeSeries`: timestamps,
+defrost flags and a feature matrix as numpy arrays. Documents are read once
+into :class:`Columns` by :func:`document_columns`, which keeps none of
+them, and the columns are cut into one block per fridge. Supervised
+examples are cut from those blocks. For
 time-to-threshold regression, each defrost run (defrost flag 0->1 at t0,
 1->0 at t1) yields a window of ``window_len`` steps strictly before t0 and
 a target of t1 - t0 seconds; a decision lead only moves the window's
@@ -18,9 +20,11 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from coldflow.docstore.documents import type_rank
 from coldflow.runconfig import DEFAULT_TARGET_BAND_S
 from coldflow.telemetry import UnsortedInput, field_value
 
@@ -65,10 +69,26 @@ class FridgeSeries:
     store_ids: tuple
 
 
-def _feature_column(docs: list[dict], name: str) -> np.ndarray:
-    """One feature over the documents as float64, NaN where a value is not
-    a finite, non-bool number."""
-    values = [field_value(d, name) for d in docs]
+class Columns(NamedTuple):
+    """Telemetry documents as columns, one entry per document, in order.
+
+    ``timestamps``, ``defrost`` and ``features`` hold each value converted
+    as :class:`FridgeSeries` says. ``timestamp_keys`` holds the key
+    ``$sort`` orders each timestamp by, or is None when every timestamp is
+    a number, so that the key is the float itself.
+    """
+
+    fridge_ids: list
+    store_ids: list
+    timestamps: np.ndarray
+    timestamp_keys: list | None
+    defrost: np.ndarray
+    features: np.ndarray
+
+
+def _feature_column(values: list) -> np.ndarray:
+    """One feature's values as float64, NaN where a value is not a finite,
+    non-bool number."""
     # Plain floats and ints convert in one call; bools, None, strings and
     # other types are sorted out one value at a time.
     if not set(map(type, values)) <= {float, int}:
@@ -77,6 +97,68 @@ def _feature_column(docs: list[dict], name: str) -> np.ndarray:
     column = np.array(values, dtype=np.float64)
     column[~np.isfinite(column)] = math.nan
     return column
+
+
+def _timestamp_key(value):
+    """``$sort``'s key for a present timestamp: null, then bools, numbers
+    and strings, each in its natural order."""
+    rank = type_rank(value)
+    return (rank, float(value)) if rank == 3 else (rank, value)
+
+
+def document_columns(docs, feature_names) -> Columns:
+    """Telemetry documents, as stored or as ``telemetry.derive_features``
+    makes them, read once into :class:`Columns`. Features resolve through
+    ``telemetry.field_value``. Keeps no document, so ``docs`` may be a
+    stream."""
+    names = tuple(feature_names)
+    fridge_ids, store_ids, stamps, defrost = [], [], [], []
+    values = [[] for _ in names]
+    for doc in docs:
+        fridge_ids.append(doc["fridge_id"])
+        store_ids.append(doc.get("store_id"))
+        stamps.append(doc["timestamp"])
+        defrost.append(doc["defrost_state"])
+        for column, name in zip(values, names):
+            column.append(field_value(doc, name))
+    keys = None
+    if not set(map(type, stamps)) <= {float, int}:
+        keys = [_timestamp_key(t) for t in stamps]
+    return Columns(fridge_ids, store_ids, np.array(stamps, dtype=np.float64), keys,
+                   np.array(defrost, dtype=np.float64),
+                   np.column_stack([_feature_column(column) for column in values]))
+
+
+def _series_by_fridge(columns: Columns, rows: np.ndarray, order: np.ndarray,
+                      fridge_ids: list, names: tuple) -> dict[str, FridgeSeries]:
+    """One FridgeSeries per fridge. ``rows[i]`` is document i's fridge, as
+    a position in ``fridge_ids``; ``order`` puts the documents in
+    ascending fridge position, each fridge's in the order its block
+    keeps."""
+    grouped = rows[order]
+    timestamps = columns.timestamps[order]
+    defrost = columns.defrost[order]
+    features = columns.features[order]
+    order = order.tolist()
+    if not order:
+        return {}
+    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), len(order)]
+    blocks = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        fridge_id = fridge_ids[grouped[lo]]
+        backwards = np.flatnonzero(np.diff(timestamps[lo:hi]) < 0)
+        if backwards.size:
+            raise UnsortedInput(f"fridge {fridge_id!r} goes backwards at "
+                                f"t={timestamps[lo + backwards[0] + 1]}")
+        blocks[fridge_id] = FridgeSeries(
+            fridge_id=fridge_id,
+            feature_names=names,
+            timestamps=timestamps[lo:hi],
+            defrost=defrost[lo:hi],
+            features=features[lo:hi],
+            store_ids=tuple(columns.store_ids[i] for i in order[lo:hi]),
+        )
+    return blocks
 
 
 def fridge_series(docs: list[dict],
@@ -88,26 +170,46 @@ def fridge_series(docs: list[dict],
     Accepts both fridge-major and time-interleaved streams; what matters
     downstream is that each fridge's own documents never go backwards.
     """
-    groups: dict[str, list[dict]] = {}
-    for doc in docs:
-        groups.setdefault(doc["fridge_id"], []).append(doc)
-    names = tuple(feature_names)
-    blocks = {}
-    for fridge_id, group in groups.items():
-        timestamps = np.array([d["timestamp"] for d in group], dtype=np.float64)
-        backwards = np.flatnonzero(np.diff(timestamps) < 0)
-        if backwards.size:
-            raise UnsortedInput(f"fridge {fridge_id!r} goes backwards at "
-                                f"t={timestamps[backwards[0] + 1]}")
-        blocks[fridge_id] = FridgeSeries(
-            fridge_id=fridge_id,
-            feature_names=names,
-            timestamps=timestamps,
-            defrost=np.array([d["defrost_state"] for d in group], dtype=np.float64),
-            features=np.column_stack([_feature_column(group, name) for name in names]),
-            store_ids=tuple(d.get("store_id") for d in group),
-        )
-    return blocks
+    columns = document_columns(docs, feature_names)
+    first_seen: dict = {}
+    rows = np.array([first_seen.setdefault(f, len(first_seen)) for f in columns.fridge_ids],
+                    dtype=np.intp)
+    return _series_by_fridge(columns, rows, np.argsort(rows, kind="stable"),
+                             list(first_seen), tuple(feature_names))
+
+
+def _joined(parts: list[Columns]) -> Columns:
+    """The columns of consecutive parts of one stream, as one."""
+    keys = None
+    if any(part.timestamp_keys is not None for part in parts):
+        keys = [key for part in parts for key in (
+            part.timestamp_keys or [(3, t) for t in part.timestamps.tolist()])]
+    return Columns(
+        [f for part in parts for f in part.fridge_ids],
+        [s for part in parts for s in part.store_ids],
+        np.concatenate([part.timestamps for part in parts]),
+        keys,
+        np.concatenate([part.defrost for part in parts]),
+        np.concatenate([part.features for part in parts]),
+    )
+
+
+def sorted_fridge_series(parts: list[Columns], feature_names) -> dict[str, FridgeSeries]:
+    """One FridgeSeries per fridge from the columns of a collection's
+    consecutive parts, keyed in sorted fridge-id order. Each fridge's
+    readings run in ``$sort``'s timestamp order, ties in document order,
+    so a batch ingested out of order still reads forwards in time."""
+    columns = _joined(parts)
+    fridge_ids = sorted(set(columns.fridge_ids))
+    position = {f: i for i, f in enumerate(fridge_ids)}
+    rows = np.array([position[f] for f in columns.fridge_ids], dtype=np.intp)
+    if columns.timestamp_keys is None:
+        order = np.lexsort((columns.timestamps, rows))  # stable: ties keep file order
+    else:
+        keys, by_row = columns.timestamp_keys, rows.tolist()
+        order = np.array(sorted(range(len(keys)), key=lambda i: (by_row[i], keys[i])),
+                         dtype=np.intp)
+    return _series_by_fridge(columns, rows, order, fridge_ids, tuple(feature_names))
 
 
 def assemble_window(

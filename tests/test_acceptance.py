@@ -7,6 +7,7 @@ per module and shared by the criteria that grade them.
 """
 
 import random
+import sys
 import time
 
 import numpy as np
@@ -392,20 +393,31 @@ def test_criterion_08_pool_respects_width_and_barriers(tmp_path):
     def nap(ctx, ms):
         time.sleep(ms / 1000.0)
 
+    # Builtin stages run one script at a time, so only a stage of external
+    # scripts can break the width; about one stage in seven is one.
     rng = random.Random(88)
     width_breaks = 0
     barrier_breaks = 0
+    externals = 0
     for plan in range(200):
         budget = 32
         stages = []
         for s in range(rng.randint(1, 4)):
             count = min(budget, rng.randint(1, 8))
             budget -= count
-            scripts = tuple(
-                ScriptSpec(name=f"p{plan}s{s}x{j}", builtin="nap",
-                           args={"ms": rng.randint(1, 4)})
-                for j in range(count)
-            )
+            if rng.random() < 0.15:
+                externals += count
+                scripts = tuple(
+                    ScriptSpec(name=f"p{plan}s{s}x{j}",
+                               command=(sys.executable, "-S", "-c", "pass"))
+                    for j in range(count)
+                )
+            else:
+                scripts = tuple(
+                    ScriptSpec(name=f"p{plan}s{s}x{j}", builtin="nap",
+                               args={"ms": rng.randint(1, 4)})
+                    for j in range(count)
+                )
             stages.append(StageSpec(name=f"stage{s}", scripts=scripts,
                                     pool_width=rng.randint(1, 8)))
             if budget == 0:
@@ -431,8 +443,8 @@ def test_criterion_08_pool_respects_width_and_barriers(tmp_path):
                 barrier_breaks += 1
             prev_end = max(e.end_s for e in report.events)
     _verdict(8, width_breaks == 0 and barrier_breaks == 0,
-             f"200 plans: {width_breaks} width violations, "
-             f"{barrier_breaks} cross-stage interleavings")
+             f"200 plans, {externals} external scripts: {width_breaks} width "
+             f"violations, {barrier_breaks} cross-stage interleavings")
 
 
 def test_criterion_09_persistence_roundtrips_bit_identical(dsr):

@@ -526,9 +526,9 @@ def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monke
     loads = []
     real_load = DocumentStore._load_collection
 
-    def counting_load(file_path, writer):
+    def counting_load(file_path, writer, **kwargs):
         loads.append(os.path.basename(file_path))
-        return real_load(file_path, writer)
+        return real_load(file_path, writer, **kwargs)
 
     monkeypatch.setattr(DocumentStore, "_load_collection", staticmethod(counting_load))
     docs = [{"_id": f"d{i}", "v": i, "m": {"z": [i, 0.5]}} for i in range(6)]
@@ -553,6 +553,90 @@ def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monke
         plain.insert_many("t", docs)
     assert (tmp_path / "s" / "t.ndjson").read_bytes() == \
         (tmp_path / "plain" / "t.ndjson").read_bytes()
+
+
+def test_a_writers_first_id_check_keeps_only_ids(tmp_path):
+    docs = [{"_id": f"d{i}", "v": i} for i in range(4)]
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", docs)
+    with open_store(tmp_path / "s") as store:
+        assert store.has("t", "d1")
+        assert store._view.collections["t"].docs is None
+        assert store.absent("t", ["d0", "zz", "d3", "yy"]) == [1, 3]
+        assert store.scan("t") == docs
+    with open_store(tmp_path / "s", read_only=True) as reader:
+        assert reader.count("t") == 4
+        assert reader._view.collections["t"].docs == docs
+
+
+def ranged_store(tmp_path, n=40):
+    """A store whose collection t holds n documents; returns the file and
+    the documents."""
+    docs = [{"_id": f"d{i:02d}", "v": i} for i in range(n)]
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", docs)
+    return tmp_path / "s" / "t.ndjson", docs
+
+
+def test_map_ranges_reads_each_document_once_in_file_order(tmp_path):
+    _, docs = ranged_store(tmp_path)
+    for width in (1, 2, 3):
+        with open_store(tmp_path / "s", read_only=True) as store:
+            parts = store.map_ranges("t", list, width)
+            assert "t" not in store._view.collections
+        assert len(parts) == width
+        assert [doc for part in parts for doc in part] == docs
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.map_ranges("missing", list, 2) == [[]]
+
+
+def test_map_ranges_workers_leave_the_lock_and_no_process(tmp_path):
+    import multiprocessing
+
+    _, docs = ranged_store(tmp_path)
+    lock = tmp_path / "s" / ".lock"
+    with open_store(tmp_path / "s") as store:
+        parts = store.map_ranges("t", list, 3)
+        assert lock.read_text() == str(os.getpid())
+        assert multiprocessing.active_children() == []
+        store.insert_many("t", [{"_id": "late"}])
+    assert [doc for part in parts for doc in part] == docs
+    assert not lock.exists()
+
+
+def test_map_ranges_truncates_or_skips_a_torn_tail(tmp_path, caplog):
+    path, complete = torn_store(tmp_path)
+    torn = path.read_bytes()
+    with open_store(tmp_path / "s", read_only=True) as store:
+        parts = store.map_ranges("t", list, 2)
+    assert [doc["_id"] for part in parts for doc in part] == ["a", "b"]
+    assert path.read_bytes() == torn
+    assert "t.ndjson:3: skipped an incomplete final line" in caplog.text
+    with open_store(tmp_path / "s") as store:
+        parts = store.map_ranges("t", list, 2)
+    assert [doc["_id"] for part in parts for doc in part] == ["a", "b"]
+    assert path.read_bytes() == complete
+    assert "t.ndjson:3: truncated an incomplete final line" in caplog.text
+
+
+@pytest.mark.parametrize("last_line", [
+    b'{"_id":"d00","v":0}\n',  # the first line's _id, in the other range
+    b'{"_id":"x","k":1,"k":2}\n',  # a repeated key
+    b'{"v":1}\n',
+    b'{"_id":"\xff"}\n',
+])
+def test_map_ranges_reports_corruption_as_a_first_touch_does(tmp_path, last_line):
+    path, docs = ranged_store(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + last_line)
+    with open_store(tmp_path / "s", read_only=True) as store:
+        with pytest.raises(CorruptCollection) as ranged:
+            store.map_ranges("t", list, 2)
+    with open_store(tmp_path / "s", read_only=True) as store:
+        with pytest.raises(CorruptCollection) as first_touch:
+            store.count("t")
+    assert ranged.value.line_no == len(docs)
+    assert str(ranged.value) == str(first_touch.value)
 
 
 def test_encode_documents_checks_without_a_store():

@@ -162,6 +162,87 @@ def test_telemetry_blocks_match_the_group_match_sort_path(tmp_path):
         assert got[fid].store_ids == block.store_ids
 
 
+def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
+    # Four fridges ingested in out-of-order batches, then one fridge whose
+    # timestamps are not all numbers, stored last: at width 2 the first
+    # range holds numbers only and the second range the odd ones.
+    import concurrent.futures
+    import threading
+
+    setpoints = Setpoints(3.0, 1.0)
+    with open_store(str(tmp_path / "s")) as store:
+        for fid in ("F2", "F0", "F10", "F1"):
+            records = [TelemetryRecord(timestamp=60.0 * i, fridge_id=fid, store_id=f"S{i % 3}",
+                                       air_on_temperature=3.0 + 0.1 * (i % 7),
+                                       air_off_temperature=1.0 - 0.05 * (i % 5),
+                                       defrost_state=int(i % 20 >= 17), extra={"power_kw": i % 4})
+                       for i in range(60)]
+            pipelines.ingest_records(store, records[30:], setpoints)
+            pipelines.ingest_records(store, records[:30], setpoints)
+        odd = [None, True, 30, "45", 15.0, False, 30.0]
+        store.insert_many(pipelines.TELEMETRY, [
+            {"_id": f"F9:{i}", "fridge_id": "F9", "store_id": None, "timestamp": stamp,
+             "defrost_state": 0, "air_on_temperature": float(i), "air_off_temperature": 2.0}
+            for i, stamp in enumerate(odd)])
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    names = ("air_on_temperature", "air_off_temperature", "air_on_diff", "power_kw")
+
+    def read(width):
+        with open_store(str(tmp_path / "s")) as store:
+            blocks = pipelines.telemetry_blocks(store, names, width)
+        return [(fid, b.fridge_id, b.feature_names, b.timestamps.tobytes(), b.defrost.tobytes(),
+                 b.features.tobytes(), b.store_ids) for fid, b in blocks.items()]
+
+    one = read(1)
+    assert pools == []
+    two = read(2)
+    assert len(pools) == 1
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        two_threaded = read(2)
+    finally:
+        stop.set()
+        other.join()
+    assert len(pools) == 1
+    with open_store(str(tmp_path / "s"), read_only=True) as store:
+        want = blocks_through_group_match_sort(store, names)
+    assert [fid for fid, *_ in one] == ["F0", "F1", "F10", "F2", "F9"] == list(want)
+    assert one == two == two_threaded
+    assert [b.timestamps.tobytes() for b in want.values()] == [row[3] for row in one]
+
+
+def test_telemetry_blocks_fail_as_a_serial_read_does(tmp_path):
+    with open_store(str(tmp_path / "s")) as store:
+        store.insert_many(pipelines.TELEMETRY, [
+            {"_id": f"F0:{i}", "fridge_id": "F0", "timestamp": 60.0 * i, "defrost_state": 0}
+            for i in range(20)] + [{"_id": "F0:late", "fridge_id": "F0", "defrost_state": 0}])
+        for width in (1, 2):
+            with pytest.raises(KeyError, match="timestamp"):
+                pipelines.telemetry_blocks(store, ("timestamp",), width)
+
+
+def test_insert_new_checks_a_batch_in_one_call(tmp_path, monkeypatch):
+    from coldflow.docstore import DocumentStore
+
+    def no_single_checks(*args):
+        raise AssertionError("insert_new called has")
+
+    monkeypatch.setattr(DocumentStore, "has", no_single_checks)
+    with open_store(str(tmp_path / "s")) as store:
+        assert insert_new(store, "t", [{"_id": "a"}, {"_id": "b"}]) == (2, 0)
+        assert insert_new(store, "t", [{"_id": "c"}, {"_id": "a"}, {"_id": "d"}]) == (2, 1)
+        assert [doc["_id"] for doc in store.scan("t")] == ["a", "b", "c", "d"]
+
+
 def test_wrangle_leaves_stored_telemetry_unchanged(project):
     path, cfg = project
     with open_store(path) as store:
