@@ -8,6 +8,7 @@ feature matrix), then cuts supervised examples from it: a fixed window of
 features before each defrost and the defrost's duration as the target.
 """
 
+from coldflow.docstore import parse_document_line
 from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
@@ -19,14 +20,15 @@ from coldflow.wrangler import (
 )
 
 # Simulate a month for two fridges and turn the readings into telemetry
-# documents, as ingest stores them: first differences and
-# distance-to-setpoint channels join the raw temperatures. The blocks are
-# built from these documents, as the pipeline reads them back from the
+# lines, as ingest stores them: first differences and distance-to-setpoint
+# channels join the raw temperatures. The blocks are built from those
+# lines parsed back into documents, as the pipeline reads them from the
 # store.
 config = SimConfig(n_fridges=2, days=30.0, seed=3)
 examples = []
 for spec, records in simulate_fleet(config):
-    docs = derive_features(records, midband_setpoints(spec))
+    docs = [parse_document_line(line)
+            for line in derive_features(records, midband_setpoints(spec)).lines]
     series = fridge_series(docs, ("air_on_temperature", "air_on_diff"))[spec.fridge_id]
     print(f"{spec.fridge_id}: block of {series.features.shape[0]} readings x "
           f"{series.features.shape[1]} features")

@@ -9,6 +9,7 @@ out - here, how many seconds a defrost will take.
 
 import numpy as np
 
+from coldflow.docstore import parse_document_line
 from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.neural import TrainConfig, predict_values, train
 from coldflow.pipelines import midband_setpoints
@@ -23,7 +24,8 @@ FEATURES = ("air_on_temperature", "air_off_temperature", "air_on_diff",
 # A small corpus: six fridges for ten days gives a few hundred defrosts.
 examples = []
 for spec, records in simulate_fleet(SimConfig(n_fridges=6, days=10.0, seed=5)):
-    docs = derive_features(records, midband_setpoints(spec))
+    docs = [parse_document_line(line)
+            for line in derive_features(records, midband_setpoints(spec)).lines]
     series = fridge_series(docs, FEATURES)[spec.fridge_id]
     found, _ = extract_defrost_examples(series, window_len=24, threshold=8.0)
     examples.extend(found)

@@ -13,6 +13,7 @@ mid-sized fleet and takes 15 to 20 seconds.
 
 import numpy as np
 
+from coldflow.docstore import parse_document_line
 from coldflow.fridgesim import (
     SimConfig,
     WORKORDER_PATTERNS,
@@ -32,13 +33,14 @@ plans = plan_faults(specs, config, n_faults=120, seed=21)
 orders = workorders_for_plans(plans, specs, seed=21, noise_orders=5)
 print("a work order:", orders[0][0])
 
-# Each fridge's readings become telemetry documents, as the store keeps
-# them, and then one array block.
+# Each fridge's readings become telemetry lines, as the store keeps them,
+# read back as documents and then as one array block.
 features = ("air_on_temperature", "air_off_temperature", "air_on_diff",
             "targetTemp_on", "targetTemp_off")
 series = {}
 for spec, recs in simulate_fleet(config, fault_plans=plans):
-    docs = derive_features(recs, midband_setpoints(spec))
+    docs = [parse_document_line(line)
+            for line in derive_features(recs, midband_setpoints(spec)).lines]
     series.update(fridge_series(docs, features))
 
 # The join parses free-text orders with the configured patterns, cuts a

@@ -9,12 +9,11 @@ collection as it was flushed when the handle first touched it. A collection is
 parsed on first touch. Aggregation pipelines use the familiar
 list-of-stage-dicts syntax (``[{"$match": ...}, {"$sort": ...}]``) over an
 explicitly documented subset of operators and run over a collection's
-documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, while
-``scan`` returns a collection's stored documents uncopied, for read-only
-passes, and ``map_ranges`` reads a large collection in byte ranges on
-forked processes without keeping its documents. ``encode_documents``
-checks and encodes a batch without a store, so a worker process can
-prepare what ``insert_many`` appends. Large binary model artifacts are
+documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, and
+``map_ranges`` reads a large collection in byte ranges on forked
+processes without keeping its documents. ``encode_documents`` checks and
+encodes a batch into an ``Encoded`` without a store, so a worker process
+can prepare what ``insert_many`` appends. Large binary model artifacts are
 chunked into a companion collection with a manifest and checksum.
 """
 

@@ -6,31 +6,29 @@ order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
 
 Collections load lazily: opening a store takes the lock (writers) and
 nothing more. A collection's file is parsed the first time a handle's view
-is asked for that collection (``get``, ``has``, ``count``, ``scan``,
-``aggregate``, ``find_all``, ``absent`` or ``insert_many``), so a task
-pays only for what it reads, and a corrupt file raises CorruptCollection
-at that touch. A writer's first ``has``, ``absent``, ``count`` or
-``insert_many`` keeps only the collection's ids; the first read of its
-documents parses the file again. A final line without its newline is an
+is asked for that collection (``get``, ``count``, ``aggregate``,
+``find_all``, ``absent`` or ``insert_many``), so a task pays only for
+what it reads, and a corrupt file raises CorruptCollection at that
+touch. A writer's first ``absent``, ``count`` or ``insert_many`` keeps
+only the collection's ids; the first read of its documents parses the
+file again. A final line without its newline is an
 append cut short by a crash: a writer handle truncates it at first touch
 and a reader skips it, and both log a warning.
 
-Writes: ``insert_many`` takes a list of documents, or a batch that
-:func:`encode_documents` already checked and encoded, perhaps in another
-process. After a list, the view keeps the documents; after an encoded
-batch it keeps only their ids, so ``has``, ``count`` and later inserts
-still need no parse, and the next read of the documents reloads the file
+Writes: ``insert_many`` takes a list of documents, or an :class:`Encoded`
+batch already checked and encoded (by :func:`encode_documents`, or for
+telemetry by ``telemetry.derive_features``), perhaps in another process.
+After a list, the view keeps the documents; after an encoded batch it
+keeps only their ids, so ``absent``, ``count`` and later inserts still
+need no parse, and the next read of the documents reloads the file
 once.
 
 Reads: ``get``, ``aggregate`` and ``find_all`` return deep copies the caller
-may change. ``scan`` returns the stored documents themselves, uncopied, for
-read-only passes over a whole collection; changing one would change what
-every handle sharing the view reads later without changing the file.
-``map_ranges`` reads a large collection without the view: it splits the
-file's complete lines into byte ranges, reads them on forked processes,
-and returns what a caller's function made of each range's documents
-(the wrangle stage's telemetry columns), checking every line as a first
-touch does.
+may change. ``map_ranges`` reads a large collection without the view: it
+splits the file's complete lines into byte ranges, reads them on forked
+processes, and returns what a caller's function made of each range's
+documents (the wrangle stage's telemetry columns), checking every line as
+a first touch does.
 
 Concurrency contract: one writer process at a time (advisory lock file),
 any number of readers. Within a process the lock is reentrant: several
@@ -53,7 +51,7 @@ import os
 import threading
 import time
 import uuid
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from coldflow.docstore.documents import CorruptCollection, canonical_dumps, parse_document_line
 from coldflow.docstore.pipeline import AggregationPipeline, _deep_copy_json, parse_pipeline
@@ -160,9 +158,11 @@ class _ProcessLockRegistry:
 _REGISTRY = _ProcessLockRegistry()
 
 
-class Encoded(NamedTuple):
-    """A batch that :func:`encode_documents` checked: each document's _id
-    and its canonical line, newline included, in batch order."""
+@dataclass(slots=True)
+class Encoded:
+    """A checked batch, as :func:`encode_documents` makes it: each
+    document's _id and its canonical line, newline included, in batch
+    order. Its length is its document count."""
 
     ids: list[str]
     lines: list[str]
@@ -170,6 +170,9 @@ class Encoded(NamedTuple):
     def take(self, keep: list[int]) -> Encoded:
         """The documents at the given batch positions, in that order."""
         return Encoded([self.ids[i] for i in keep], [self.lines[i] for i in keep])
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def encode_documents(collection: str, docs: list[dict]) -> Encoded:
@@ -407,7 +410,7 @@ class DocumentStore:
         """Insert a batch atomically; returns the assigned ids.
 
         ``docs`` is a list of documents, checked and encoded here by
-        :func:`encode_documents`, or that function's output. Every _id is
+        :func:`encode_documents`, or an :class:`Encoded` batch. Every _id is
         then checked against the collection; only then are the lines
         appended and flushed, so a failed call inserts nothing. After an
         encoded batch the view keeps the collection's ids but not its
@@ -442,11 +445,6 @@ class DocumentStore:
                 raise NotFound(f"{collection}/{doc_id}")
             return _deep_copy_json(coll.docs[coll.by_id[doc_id]])
 
-    def has(self, collection: str, doc_id: str) -> bool:
-        """Whether the collection holds a document with this _id."""
-        with self._view.lock:
-            return doc_id in self._touch(collection, docs=False).by_id
-
     def absent(self, collection: str, ids: list[str]) -> list[int]:
         """The positions, in order, of the ids the collection does not hold,
         all checked under one lock."""
@@ -468,7 +466,7 @@ class DocumentStore:
         across the whole file: after a duplicate, a corrupt line or a
         failing ``fn``, the file is checked once more as a first touch
         checks it, so a CorruptCollection names the path and line exactly
-        as ``count`` or ``scan`` would.
+        as ``count`` or ``find_all`` would.
         """
         with self._view.lock:
             if self._closed:
@@ -492,17 +490,6 @@ class DocumentStore:
             self._load_collection(file_path, writer=False, docs=False)
             raise error or CorruptCollection(file_path, 0, "changed while it was read")
         return results
-
-    def scan(self, collection: str) -> list[dict]:
-        """The collection's documents in insertion order, uncopied.
-
-        A new list of the stored dicts themselves, so a scan costs no copy
-        of any document. Callers must treat every document as read-only: a
-        change would reach the view's later reads but not the file.
-        ``aggregate`` and ``find_all`` return copies.
-        """
-        with self._view.lock:
-            return list(self._touch(collection).docs)
 
     def aggregate(self, collection: str, pipeline) -> list[dict]:
         """Run an aggregation pipeline (list of stage dicts or a parsed

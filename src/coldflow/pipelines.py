@@ -41,7 +41,7 @@ import logging
 
 import numpy as np
 
-from coldflow.docstore import Encoded, canonical_dumps, encode_documents, open_store
+from coldflow.docstore import Encoded, canonical_dumps, open_store
 from coldflow.fridgesim import (
     SimConfig,
     fleet_specs,
@@ -103,8 +103,7 @@ def fridge_batch(records, setpoints: Setpoints) -> tuple[Encoded, list[dict]]:
     nothing, while a grown file, another batch, or a retry after a crash
     between the two writes each stores its own rating.
     """
-    return (encode_documents(TELEMETRY, derive_features(records, setpoints)),
-            _rating_docs(records))
+    return derive_features(records, setpoints), _rating_docs(records)
 
 
 def store_fridge_batch(store, telemetry: Encoded, ratings: list[dict]) -> tuple[int, int]:

@@ -107,8 +107,8 @@ def _timestamp_key(value):
 
 
 def document_columns(docs, feature_names) -> Columns:
-    """Telemetry documents, as stored or as ``telemetry.derive_features``
-    makes them, read once into :class:`Columns`. Features resolve through
+    """Telemetry documents, as parsed from their stored lines (which
+    ``telemetry.derive_features`` writes), read once into :class:`Columns`. Features resolve through
     ``telemetry.field_value``. Keeps no document, so ``docs`` may be a
     stream."""
     names = tuple(feature_names)
@@ -163,9 +163,9 @@ def _series_by_fridge(columns: Columns, rows: np.ndarray, order: np.ndarray,
 
 def fridge_series(docs: list[dict],
                   feature_names=DEFAULT_FEATURES) -> dict[str, FridgeSeries]:
-    """Build one FridgeSeries per fridge from telemetry documents, as stored
-    or as ``telemetry.derive_features`` makes them, keyed in order of first
-    appearance. Features resolve through ``telemetry.field_value``.
+    """Build one FridgeSeries per fridge from telemetry documents, as parsed
+    from their stored lines (which ``telemetry.derive_features`` writes),
+    keyed in order of first appearance. Features resolve through ``telemetry.field_value``.
 
     Accepts both fridge-major and time-interleaved streams; what matters
     downstream is that each fridge's own documents never go backwards.

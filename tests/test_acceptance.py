@@ -17,7 +17,7 @@ from gradcheck import finite_difference_check
 from naive_agg import evaluate as naive_evaluate
 from test_aggregation import random_docs, random_pipeline
 
-from coldflow.docstore import canonical_dumps, open_store
+from coldflow.docstore import canonical_dumps, open_store, parse_document_line
 from coldflow.docstore.pipeline import parse_pipeline
 from coldflow.fridgesim import (
     SimConfig,
@@ -107,7 +107,8 @@ def dsr(tmp_path_factory):
     per_event = {}
     lead0_examples = 0
     for spec, records in simulate_fleet(sim):
-        docs = derive_features(records, midband_setpoints(spec))
+        docs = [parse_document_line(line)
+                for line in derive_features(records, midband_setpoints(spec)).lines]
         series = fridge_series(docs, WINDOW_FEATURES)[spec.fridge_id]
         examples, _ = extract_defrost_examples(series, window_len=32, threshold=8.0)
         lead0_examples += len(examples)
@@ -204,7 +205,8 @@ def fault(tmp_path_factory):
     orders = workorders_for_plans(plans, specs, FAULT_SEED, noise_orders=10)
     series = {}
     for spec, recs in simulate_fleet(sim, fault_plans=plans):
-        fridge_docs = derive_features(recs, midband_setpoints(spec))
+        fridge_docs = [parse_document_line(line)
+                       for line in derive_features(recs, midband_setpoints(spec)).lines]
         series.update(fridge_series(fridge_docs, WINDOW_FEATURES))
 
     examples, stats = merge_faults(

@@ -1,14 +1,17 @@
 """CLI exit codes, env-var resolution, and the CSV round trip."""
 
+import itertools
 import json
 import multiprocessing
 import os
 
 import pytest
+from test_telemetry import documents_through_derived_records
 
-from coldflow.cli import main
-from coldflow.docstore import open_store
-from coldflow.fridgesim import WORKORDER_PATTERNS
+from coldflow.cli import DEFAULT_TARGET_OFF, DEFAULT_TARGET_ON, main
+from coldflow.docstore import canonical_dumps, open_store
+from coldflow.fridgesim import FLEET_CSV_SCHEMA, WORKORDER_PATTERNS
+from coldflow.telemetry import Setpoints, parse_telemetry_csv
 
 
 def write_config(tmp_path, extra=None, name="run.json"):
@@ -172,6 +175,20 @@ def csv_fleet(tmp_path):
     return tmp_path / "data"
 
 
+def reference_telemetry(data) -> bytes:
+    """The telemetry file an ingest of ``data`` writes: each CSV's rows of
+    one fridge, in file order, through the reference document path."""
+    sidecar = json.loads((data / "setpoints.json").read_text())
+    lines = []
+    for path in sorted((data / "telemetry").glob("*.csv")):
+        records, _ = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+        for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
+            setpoints = Setpoints(*sidecar.get(fid, (DEFAULT_TARGET_ON, DEFAULT_TARGET_OFF)))
+            lines += [canonical_dumps(doc) + "\n"
+                      for doc in documents_through_derived_records(list(group), setpoints)]
+    return "".join(lines).encode("utf-8")
+
+
 def ingest_at_width(tmp_path, data, width):
     config = write_config(tmp_path, extra={"pool_width": width}, name=f"w{width}.json")
     store = tmp_path / f"store-w{width}"
@@ -190,6 +207,7 @@ def test_ingest_stores_the_same_bytes_at_any_pool_width(tmp_path, capsys):
                        for name in ("telemetry.ndjson", "fridge_ratings.ndjson")})
         assert multiprocessing.active_children() == []
     assert stored[1] == stored[0] and stored[2] == stored[0]
+    assert stored[0]["telemetry.ndjson"] == reference_telemetry(data)
     assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
     assert "ingested 122 telemetry records and 0 work orders (2 rejected rows)" \
         in summaries[0]
@@ -212,4 +230,4 @@ def test_ingest_failing_in_a_worker_stops_at_that_file(tmp_path, capsys, width):
     assert (pooled / "telemetry.ndjson").read_bytes() == \
         (serial / "telemetry.ndjson").read_bytes()
     with open_store(str(pooled), read_only=True) as store:
-        assert {doc["fridge_id"] for doc in store.scan("telemetry")} == {"F0"}
+        assert {doc["fridge_id"] for doc in store.find_all("telemetry")} == {"F0"}

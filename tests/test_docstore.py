@@ -13,6 +13,7 @@ from coldflow.docstore import (
     CorruptCollection,
     DocumentStore,
     DuplicateId,
+    Encoded,
     LockHeld,
     MODEL_CHUNK_BYTES,
     NotFound,
@@ -353,9 +354,9 @@ def test_writer_handles_see_each_others_later_batches(tmp_path):
         a.insert_many("c", [{"_id": "a1"}])
         assert b.count("c") == 1
         b.insert_many("c", [{"_id": "b1"}, {"_id": "b2"}])
-        assert a.has("c", "b2")
+        assert a.absent("c", ["b2"]) == []
         assert a.count("c") == 3
-        assert [d["_id"] for d in a.scan("c")] == ["a1", "b1", "b2"]
+        assert [d["_id"] for d in a.find_all("c")] == ["a1", "b1", "b2"]
     finally:
         a.close()
         b.close()
@@ -370,8 +371,8 @@ def test_closed_handle_refuses_reads_and_writes(tmp_path, read_only):
     assert store.count("c") == 1
     store.close()
     store.close()
-    for call in (lambda: store.count("c"), lambda: store.has("c", "a"),
-                 lambda: store.get("c", "a"), lambda: store.scan("c"),
+    for call in (lambda: store.count("c"), lambda: store.absent("c", ["a"]),
+                 lambda: store.get("c", "a"),
                  lambda: store.find_all("c"), lambda: store.count("fresh")):
         with pytest.raises(ValueError, match="closed"):
             call()
@@ -472,54 +473,52 @@ def test_non_finite_float_rejects_the_batch(tmp_path, bad):
             with pytest.raises(ValueError):
                 store.insert_many("t", [{"_id": "ok"}, doc])
         assert (tmp_path / "s" / "t.ndjson").read_bytes() == before
-        assert not store.has("t", "ok")
+        assert store.absent("t", ["ok"]) == [0]
         assert store.count("t") == 1
 
 
-def test_scan_and_has_on_a_missing_collection(tmp_path):
+def test_reads_of_a_missing_collection(tmp_path):
     with open_store(tmp_path / "s") as store:
-        assert store.scan("t") == []
-        assert not store.has("t", "a")
+        assert store.find_all("t") == []
+        assert store.absent("t", ["a"]) == [0]
     assert not (tmp_path / "s" / "t.ndjson").exists()
 
 
-def test_scan_returns_stored_documents_in_insertion_order(tmp_path):
+def test_find_all_returns_documents_in_insertion_order(tmp_path):
     docs = [{"_id": f"d{i}", "v": (i * 7) % 5} for i in (3, 1, 4, 0, 2)]
     with open_store(tmp_path / "s") as store:
         store.insert_many("t", docs[:3])
         store.insert_many("t", docs[3:])
-        scanned = store.scan("t")
-        assert scanned == docs
-        # The stored dicts themselves, in a new list.
-        assert all(a is b for a, b in zip(scanned, store.scan("t")))
-        scanned.pop()
+        found = store.find_all("t")
+        assert found == docs
+        found.pop()
         assert store.count("t") == 5
-        assert all(store.has("t", d["_id"]) for d in docs)
-        assert not store.has("t", "d9")
+        assert store.absent("t", [d["_id"] for d in docs]) == []
+        assert store.absent("t", ["d9"]) == [0]
     with open_store(tmp_path / "s", read_only=True) as reader:
-        assert reader.scan("t") == docs
+        assert reader.find_all("t") == docs
 
 
-def test_scan_and_has_see_first_touch_plus_own_writes(tmp_path):
+def test_reads_see_first_touch_plus_own_writes(tmp_path):
     writer = open_store(tmp_path / "s")
     reader = open_store(tmp_path / "s", read_only=True)
     try:
         writer.insert_many("t", [{"_id": "a"}])
         # The reader's first touch is now: it sees the flushed batch.
-        assert reader.has("t", "a")
+        assert reader.absent("t", ["a"]) == []
         writer.insert_many("t", [{"_id": "b"}])
-        assert not reader.has("t", "b")
-        assert [d["_id"] for d in reader.scan("t")] == ["a"]
-        assert [d["_id"] for d in writer.scan("t")] == ["a", "b"]
+        assert reader.absent("t", ["b"]) == [0]
+        assert [d["_id"] for d in reader.find_all("t")] == ["a"]
+        assert [d["_id"] for d in writer.find_all("t")] == ["a", "b"]
     finally:
         reader.close()
         writer.close()
     with open(tmp_path / "s" / "u.ndjson", "w") as fh:
         fh.write("{not json\n")
     with open_store(tmp_path / "s", read_only=True) as store:
-        assert store.has("t", "b")
+        assert store.absent("t", ["b"]) == []
         with pytest.raises(CorruptCollection):
-            store.scan("u")
+            store.find_all("u")
 
 
 def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monkeypatch):
@@ -535,7 +534,7 @@ def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monke
     store = open_store(tmp_path / "s")
     store.insert_many("t", docs[:2])
     assert store.insert_many("t", encode_documents("t", docs[2:4])) == ["d2", "d3"]
-    assert store.has("t", "d3") and not store.has("t", "d9")
+    assert store.absent("t", ["d3", "d9"]) == [1]
     assert store.count("t") == 4
     with pytest.raises(DuplicateId):
         store.insert_many("t", encode_documents("t", docs[3:5]))
@@ -543,12 +542,12 @@ def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monke
     store.insert_many("t", encode_documents("t", docs[5:]))
     assert loads == ["t.ndjson"]
     # The first read of the documents parses the file once, and sees them all.
-    assert store.scan("t") == docs
+    assert store.find_all("t") == docs
     assert store.get("t", "d5") == docs[5]
     assert loads == ["t.ndjson"] * 2
     store.close()
     with pytest.raises(ValueError, match="closed"):
-        store.has("t", "d0")
+        store.absent("t", ["d0"])
     with open_store(tmp_path / "plain") as plain:
         plain.insert_many("t", docs)
     assert (tmp_path / "s" / "t.ndjson").read_bytes() == \
@@ -560,10 +559,10 @@ def test_a_writers_first_id_check_keeps_only_ids(tmp_path):
     with open_store(tmp_path / "s") as store:
         store.insert_many("t", docs)
     with open_store(tmp_path / "s") as store:
-        assert store.has("t", "d1")
+        assert store.absent("t", ["d1"]) == []
         assert store._view.collections["t"].docs is None
         assert store.absent("t", ["d0", "zz", "d3", "yy"]) == [1, 3]
-        assert store.scan("t") == docs
+        assert store.find_all("t") == docs
     with open_store(tmp_path / "s", read_only=True) as reader:
         assert reader.count("t") == 4
         assert reader._view.collections["t"].docs == docs
@@ -645,7 +644,8 @@ def test_encode_documents_checks_without_a_store():
     assert doc == {"v": 1}
     assert encoded.ids[1] == "b" and encoded.lines[1] == '{"_id":"b","w":[1.5]}\n'
     assert json.loads(encoded.lines[0]) == {"_id": encoded.ids[0], "v": 1}
-    assert encoded.take([1]) == (["b"], ['{"_id":"b","w":[1.5]}\n'])
+    assert len(encoded) == 2
+    assert encoded.take([1]) == Encoded(["b"], ['{"_id":"b","w":[1.5]}\n'])
     with pytest.raises(DuplicateId):
         encode_documents("t", [{"_id": "a"}, {"_id": "a"}])
     with pytest.raises(TypeError):

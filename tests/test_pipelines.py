@@ -233,22 +233,27 @@ def test_telemetry_blocks_fail_as_a_serial_read_does(tmp_path):
 def test_insert_new_checks_a_batch_in_one_call(tmp_path, monkeypatch):
     from coldflow.docstore import DocumentStore
 
-    def no_single_checks(*args):
-        raise AssertionError("insert_new called has")
+    checks = []
+    real_absent = DocumentStore.absent
 
-    monkeypatch.setattr(DocumentStore, "has", no_single_checks)
+    def counting_absent(self, collection, ids):
+        checks.append(list(ids))
+        return real_absent(self, collection, ids)
+
+    monkeypatch.setattr(DocumentStore, "absent", counting_absent)
     with open_store(str(tmp_path / "s")) as store:
         assert insert_new(store, "t", [{"_id": "a"}, {"_id": "b"}]) == (2, 0)
         assert insert_new(store, "t", [{"_id": "c"}, {"_id": "a"}, {"_id": "d"}]) == (2, 1)
-        assert [doc["_id"] for doc in store.scan("t")] == ["a", "b", "c", "d"]
+        assert [doc["_id"] for doc in store.find_all("t")] == ["a", "b", "c", "d"]
+    assert checks == [["a", "b"], ["c", "a", "d"]]
 
 
 def test_wrangle_leaves_stored_telemetry_unchanged(project):
     path, cfg = project
     with open_store(path) as store:
-        before = [canonical_dumps(doc) for doc in store.scan(pipelines.TELEMETRY)]
+        before = [canonical_dumps(doc) for doc in store.find_all(pipelines.TELEMETRY)]
         pipelines.wrangle(store, cfg)
-        after = [canonical_dumps(doc) for doc in store.scan(pipelines.TELEMETRY)]
+        after = [canonical_dumps(doc) for doc in store.find_all(pipelines.TELEMETRY)]
     assert before and after == before
 
 

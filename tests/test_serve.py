@@ -106,6 +106,6 @@ def test_report_on_an_unknown_selection_tag_names_it(served, capsys):
     assert "'nope'" in err
     assert "coldflow select" in err
     with open_store(config["store_path"], read_only=True) as store:
-        assert not store.has(selection.REPORTS, "report:r2")
+        assert store.absent(selection.REPORTS, ["report:r2"]) == [0]
         with pytest.raises(selection.PipelineError, match="no selection tagged 'nope'"):
             reporting.make_report(store, validate_config(config))

@@ -1,13 +1,20 @@
 """CSV ingestion, derived features and document round trips."""
 
-import dataclasses
+import copy
+import itertools
 import random
 
 import pytest
 
 import naive_csv
 
-from coldflow.docstore import canonical_dumps, open_store
+from coldflow.docstore import (
+    DuplicateId,
+    canonical_dumps,
+    encode_documents,
+    open_store,
+    parse_document_line,
+)
 from coldflow.fridgesim import SimConfig, fleet_specs, plan_faults, simulate_fleet
 from coldflow.telemetry import (
     CsvSchema,
@@ -197,8 +204,9 @@ def rec(fridge, ts, on=3.0, off=1.0, defrost=0):
 def test_derive_features_values():
     records = [rec("a", 0, on=3.8, off=1.7), rec("a", 60, on=4.0, off=1.9),
                rec("b", 30, on=2.0, off=0.5)]
-    before = [dataclasses.replace(r) for r in records]
-    out = [doc["derived"] for doc in derive_features(records, Setpoints(on=3.0, off=1.0))]
+    before = copy.deepcopy(records)
+    out = [parse_document_line(line)["derived"]
+           for line in derive_features(records, Setpoints(on=3.0, off=1.0)).lines]
     assert out[0]["time_diff_sec"] == 0.0
     assert out[1]["time_diff_sec"] == 60.0
     # New fridge restarts the cadence delta.
@@ -270,29 +278,92 @@ def test_derive_features_matches_the_derived_record_path():
     header, schema = CORPUS_SCHEMAS[0]
     parsed, _ = parse_telemetry_csv(_csv_corpus(random.Random(3), header), schema)
     parsed.sort(key=lambda r: (r.fridge_id, r.timestamp))
+    # The corpus repeats timestamps, and a repeated _id is refused as
+    # encode_documents refuses it: keep the first reading of each.
+    parsed = [next(group) for _, group in
+              itertools.groupby(parsed, key=lambda r: (r.fridge_id, r.timestamp))]
     assert any(isinstance(r.extra["note"], str) for r in parsed)
     for records, setpoints in ((simulated, Setpoints(3.2, 1.1)), (parsed, Setpoints(3.0, 1.0))):
         got = derive_features(records, setpoints)
         want = documents_through_derived_records(records, setpoints)
-        assert len({d["fridge_id"] for d in got}) >= 3
-        assert [canonical_dumps(d) for d in got] == [canonical_dumps(d) for d in want]
+        assert len({d["fridge_id"] for d in want}) >= 3
+        assert len(got) == len(want)
+        assert got.ids == [d["_id"] for d in want]
+        assert got.lines == [canonical_dumps(d) + "\n" for d in want]
 
 
-def test_derive_features_shares_no_dict_with_input():
-    records, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
-    docs = derive_features(records, Setpoints(3.0, 1.0))
-    inputs = {id(r.extra) for r in records}
-    assert not inputs & {id(d[key]) for d in docs for key in ("extra", "derived")}
-    docs[0]["extra"]["Def"] = -1.0
-    assert records[0].extra["Def"] == 17.2
+def reading(fridge, ts, on=3.0, off=1.0, defrost=0, store=None, extra=None):
+    return TelemetryRecord(timestamp=ts, fridge_id=fridge, air_on_temperature=on,
+                           air_off_temperature=off, defrost_state=defrost,
+                           store_id=store, extra=extra or {})
+
+
+# Batches whose lines hold what a per-reading template could get wrong:
+# quotes, a non-ASCII character and a % in ids, a null store id, empty and
+# missing extra cells, bool and int extras, signed zeros, the largest and
+# smallest floats, and several fridges, each restarting its deltas.
+EDGE_BATCHES = [
+    [reading('caf\u00e9 "7"', -0.0, on=-0.0, off=5e-324, store=None,
+             extra={"note": "", "p": 1e16}),
+     reading('caf\u00e9 "7"', 5e-324, on=1e16, off=-5e-324, defrost=1, store="S\u00f8",
+             extra={"p": -0.0}),
+     reading('caf\u00e9 "7"', 1e16, on=-1e16, off=1.5, store="S\u00f8",
+             extra={"p": 2.0, "note": "door %s open"})],
+    [reading("a%d", 0.0, extra={"z": 1.0, "a": "", "door": True, "n": 3}),
+     reading("a%d", 60.0, on=4.25),
+     reading("b", 30.0, on=-2.5, off=0.1), reading("b", 90.0, on=7.0, off=0.3),
+     reading("c", -60.0, store="S1")],
+    [],
+]
+
+
+@pytest.mark.parametrize("batch", range(len(EDGE_BATCHES)))
+def test_derive_features_writes_the_reference_lines_for_edge_values(batch):
+    records = EDGE_BATCHES[batch]
+    before = copy.deepcopy(records)
+    for setpoints in (Setpoints(3.0, 1.0), Setpoints(-0.0, 1e16)):
+        got = derive_features(records, setpoints)
+        want = documents_through_derived_records(records, setpoints)
+        assert got == encode_documents("telemetry", want)
+        assert got.lines == [canonical_dumps(d) + "\n" for d in want]
+    assert records == before
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("records", [
+    # Equal timestamps give one _id twice.
+    [reading("a", 0.0), reading("a", 60.0), reading("a", 60.0)],
+    # 1e308 then -1e308: the difference overflows to -inf.
+    [reading("a", 0.0, on=1e308), reading("a", 60.0, on=-1e308)],
+    # The overflow comes before the repeated _id, so it is what is raised.
+    [reading("a", 0.0, off=-1e308), reading("a", 1.0, off=1e308), reading("a", 1.0)],
+    # A repeated _id comes before the overflow.
+    [reading("a", 0.0), reading("a", 0.0), reading("b", 0.0, on=1e308),
+     reading("b", 1.0, on=-1e308)],
+])
+def test_derive_features_raises_what_encode_documents_raises(records):
+    before = copy.deepcopy(records)
+    setpoints = Setpoints(3.0, 1.0)
+    got = raised(lambda: derive_features(records, setpoints))
+    want = raised(lambda: encode_documents(
+        "telemetry", documents_through_derived_records(records, setpoints)))
+    assert got == want
+    assert got[0] in (DuplicateId, ValueError)
+    assert records == before
 
 
 def test_document_roundtrip_identity(tmp_path):
     records, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
-    docs = derive_features(records, Setpoints(3.0, 1.0))
-    assert docs[0]["_id"] == "barn1:1488990480.0"
+    encoded = derive_features(records, Setpoints(3.0, 1.0))
+    assert encoded.ids[0] == "barn1:1488990480.0"
+    docs = [parse_document_line(line) for line in encoded.lines]
     with open_store(tmp_path / "s") as store:
-        store.insert_many("telemetry", docs)
+        store.insert_many("telemetry", encoded)
     with open_store(tmp_path / "s", read_only=True) as store:
         loaded = store.find_all("telemetry")
     assert loaded == docs
