@@ -13,6 +13,7 @@ from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
 from coldflow.wrangler import (
+    document_columns,
     extract_defrost_examples,
     fridge_series,
     shift_for_lead_time,
@@ -29,7 +30,8 @@ examples = []
 for spec, records in simulate_fleet(config):
     docs = [parse_document_line(line)
             for line in derive_features(records, midband_setpoints(spec)).lines]
-    series = fridge_series(docs, ("air_on_temperature", "air_on_diff"))[spec.fridge_id]
+    names = ("air_on_temperature", "air_on_diff")
+    series = fridge_series([document_columns(docs, names)], names)[spec.fridge_id]
     print(f"{spec.fridge_id}: block of {series.features.shape[0]} readings x "
           f"{series.features.shape[1]} features")
     found, rejected = extract_defrost_examples(series, window_len=32, threshold=8.0)

@@ -14,7 +14,12 @@ from coldflow.fridgesim import SimConfig, simulate_fleet
 from coldflow.neural import TrainConfig, predict_values, train
 from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
-from coldflow.wrangler import extract_defrost_examples, fridge_series, split_dataset
+from coldflow.wrangler import (
+    document_columns,
+    extract_defrost_examples,
+    fridge_series,
+    split_dataset,
+)
 
 # Raw temperatures plus the derived channels: the first difference carries
 # the warming rate and the setpoint distances identify the fridge.
@@ -26,7 +31,7 @@ examples = []
 for spec, records in simulate_fleet(SimConfig(n_fridges=6, days=10.0, seed=5)):
     docs = [parse_document_line(line)
             for line in derive_features(records, midband_setpoints(spec)).lines]
-    series = fridge_series(docs, FEATURES)[spec.fridge_id]
+    series = fridge_series([document_columns(docs, FEATURES)], FEATURES)[spec.fridge_id]
     found, _ = extract_defrost_examples(series, window_len=24, threshold=8.0)
     examples.extend(found)
 print(f"{len(examples)} examples of {examples[0].observed.shape}")

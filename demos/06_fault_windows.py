@@ -25,7 +25,13 @@ from coldflow.fridgesim import (
 from coldflow.neural import TrainConfig, predict_labels, train
 from coldflow.pipelines import midband_setpoints
 from coldflow.telemetry import derive_features
-from coldflow.wrangler import Workorder, balance_classes, fridge_series, merge_faults
+from coldflow.wrangler import (
+    Workorder,
+    balance_classes,
+    document_columns,
+    fridge_series,
+    merge_faults,
+)
 
 config = SimConfig(n_fridges=150, days=4.0, seed=21)
 specs = fleet_specs(config)
@@ -41,7 +47,7 @@ series = {}
 for spec, recs in simulate_fleet(config, fault_plans=plans):
     docs = [parse_document_line(line)
             for line in derive_features(recs, midband_setpoints(spec)).lines]
-    series.update(fridge_series(docs, features))
+    series.update(fridge_series([document_columns(docs, features)], features))
 
 # The join parses free-text orders with the configured patterns, cuts a
 # positive window 24h before each matched fault, and samples negatives

@@ -18,10 +18,10 @@ and a reader skips it, and both log a warning.
 Writes: ``insert_many`` takes a list of documents, or an :class:`Encoded`
 batch already checked and encoded (by :func:`encode_documents`, or for
 telemetry by ``telemetry.derive_features``), perhaps in another process.
-After a list, the view keeps the documents; after an encoded batch it
-keeps only their ids, so ``absent``, ``count`` and later inserts still
-need no parse, and the next read of the documents reloads the file
-once.
+After either, the view keeps only the collection's ids, so ``absent``,
+``count`` and later inserts still need no parse, and the next read of the
+documents reloads the file once: what a handle reads is what the file
+holds, never a caller's object.
 
 Reads: ``get``, ``aggregate`` and ``find_all`` return deep copies the caller
 may change. ``map_ranges`` reads a large collection without the view: it
@@ -203,15 +203,11 @@ def encode_documents(collection: str, docs: list[dict]) -> Encoded:
 class _Collection:
     """A collection's ids, each mapped to its line's position, and its
     documents; ``docs`` is None when a first touch kept only the ids, or
-    once an encoded batch was appended without them."""
+    once a batch was appended."""
 
-    def __init__(self):
-        self.docs: list[dict] | None = []
+    def __init__(self, docs: bool):
+        self.docs: list[dict] | None = [] if docs else None
         self.by_id: dict[str, int] = {}
-
-    def append(self, doc: dict):
-        self.by_id[doc["_id"]] = len(self.by_id)
-        self.docs.append(doc)
 
 
 class _View:
@@ -379,9 +375,7 @@ class DocumentStore:
         """Parse one collection file, keeping its documents, or with
         ``docs`` false only their ids. Its complete lines only: see
         :func:`_complete_size`."""
-        coll = _Collection()
-        if not docs:
-            coll.docs = None
+        coll = _Collection(docs)
         lines = _lines(file_path, 0, _complete_size(file_path, writer))
         for line_no, raw in enumerate(lines, start=1):
             doc = _checked_document(raw, file_path, line_no)
@@ -389,10 +383,9 @@ class DocumentStore:
                 continue
             if doc["_id"] in coll.by_id:
                 raise CorruptCollection(file_path, line_no, f"duplicate _id {doc['_id']!r}")
+            coll.by_id[doc["_id"]] = len(coll.by_id)
             if docs:
-                coll.append(doc)
-            else:
-                coll.by_id[doc["_id"]] = len(coll.by_id)
+                coll.docs.append(doc)
         return coll
 
     def _file_for(self, name: str) -> str:
@@ -412,9 +405,9 @@ class DocumentStore:
         ``docs`` is a list of documents, checked and encoded here by
         :func:`encode_documents`, or an :class:`Encoded` batch. Every _id is
         then checked against the collection; only then are the lines
-        appended and flushed, so a failed call inserts nothing. After an
-        encoded batch the view keeps the collection's ids but not its
-        documents, and the next read of them parses the file.
+        appended and flushed, so a failed call inserts nothing. Afterwards
+        the view keeps the collection's ids but not its documents, and the
+        next read of them parses the file.
         """
         if self.read_only:
             raise ReadOnlyStore("insert_many on a read-only handle")
@@ -428,14 +421,9 @@ class DocumentStore:
                 fh.write("".join(encoded.lines))
                 fh.flush()
                 os.fsync(fh.fileno())
-            if isinstance(docs, Encoded):
-                coll.docs = None
-            if coll.docs is None:
-                for doc_id in encoded.ids:
-                    coll.by_id[doc_id] = len(coll.by_id)
-            else:
-                for doc, doc_id in zip(docs, encoded.ids):
-                    coll.append(dict(doc, _id=doc_id))
+            coll.docs = None
+            for doc_id in encoded.ids:
+                coll.by_id[doc_id] = len(coll.by_id)
         return list(encoded.ids)
 
     def get(self, collection: str, doc_id: str) -> dict:

@@ -75,9 +75,9 @@ from coldflow.wrangler import (
     balance_classes,
     document_columns,
     extract_defrost_examples,
+    fridge_series,
     merge_faults,
     shift_for_lead_time,
-    sorted_fridge_series,
     split_dataset,
 )
 
@@ -147,12 +147,12 @@ def telemetry_blocks(store, feature_names, width: int = 1) -> dict:
     The stored telemetry is read as columns, on ``width`` processes, one
     byte range of the file each (``DocumentStore.map_ranges``); no
     document is kept. Each fridge's readings are stable-sorted by
-    timestamp in the order ``$sort`` uses, so they run forwards in time
-    even from a batch ingested out of order.
+    timestamp, so they run forwards in time even from a batch ingested out
+    of order. A timestamp that is not a number raises TypeError.
     """
     parts = store.map_ranges(
         TELEMETRY, functools.partial(document_columns, feature_names=feature_names), width)
-    return sorted_fridge_series(parts, feature_names)
+    return fridge_series(parts, feature_names)
 
 
 # --------------------------------------------------------------- wrangle

@@ -202,6 +202,16 @@ def check_sorted(records: list[TelemetryRecord]):
             )
 
 
+def check_timestamps(fridge_ids, stamps: list):
+    """Raise TypeError, naming the fridge, at the first timestamp that is
+    not an int or a float; a bool is not a number."""
+    if set(map(type, stamps)) <= {float, int}:
+        return
+    for fridge_id, stamp in zip(fridge_ids, stamps):
+        if not isinstance(stamp, (int, float)) or isinstance(stamp, bool):
+            raise TypeError(f"fridge {fridge_id!r}: timestamp {stamp!r} is not a number")
+
+
 def derive_features(records: list[TelemetryRecord], setpoints: Setpoints) -> Encoded:
     """The telemetry documents ingest stores, one per record, as their
     checked canonical lines; the input is left untouched.
@@ -215,14 +225,17 @@ def derive_features(records: list[TelemetryRecord], setpoints: Setpoints) -> Enc
     off_diff (measured minus setpoint). Records must be sorted by
     (fridge_id, timestamp), so a record's in-fridge predecessor is the
     record before it when that has the same fridge id; the first record
-    of the batch has none, whatever the store already holds.
+    of the batch has none, whatever the store already holds. A timestamp
+    must be an int or a float (not a bool); anything else raises TypeError,
+    as the wrangle stage's read would.
 
     The result is exactly what ``encode_documents`` makes of those
     documents, with the same UnsortedInput, DuplicateId and non-finite
     ValueError, but no document is built: see the module docstring.
     """
-    check_sorted(records)
     stamps = [r.timestamp for r in records]
+    check_timestamps((r.fridge_id for r in records), stamps)
+    check_sorted(records)
     on = [r.air_on_temperature for r in records]
     off = [r.air_off_temperature for r in records]
     bounds = [0, *itertools.accumulate(
@@ -235,7 +248,6 @@ def derive_features(records: list[TelemetryRecord], setpoints: Setpoints) -> Enc
     # again follow.
     columns = [off, on, [r.defrost_state for r in records], off_diff, on_diff, off_sp, on_sp,
                time_diff]
-    float_stamps = set(map(type, stamps)) <= {float}
     setpoint_texts = _texts([setpoints.off, setpoints.on])
     finite = _NON_FINITE.isdisjoint(setpoint_texts)
 
@@ -254,13 +266,9 @@ def derive_features(records: list[TelemetryRecord], setpoints: Setpoints) -> Enc
             extras = [_texts([r.extra[name] for r in records[start:end]]) for name in names]
             finite = finite and _NON_FINITE.isdisjoint(
                 itertools.chain(*texts, stamp_texts, *extras))
-            # A float timestamp's text is also the _id's suffix.
-            suffixes = stamp_texts if float_stamps else [f"{t}" for t in stamps[start:end]]
-            ids += [prefix + suffix for suffix in suffixes]
-            if not float_stamps:
-                suffixes = [canonical_dumps(suffix)[1:-1] for suffix in suffixes]
+            ids += [prefix + text for text in stamp_texts]
             lines += map(template.__mod__,
-                         zip(suffixes, *texts, stamp_texts, *extras, stamp_texts))
+                         zip(stamp_texts, *texts, stamp_texts, *extras, stamp_texts))
         lo = hi
 
     repeat = _first_repeat(ids)

@@ -3,9 +3,10 @@
 Each fridge's telemetry becomes one :class:`FridgeSeries`: timestamps,
 defrost flags and a feature matrix as numpy arrays. Documents are read once
 into :class:`Columns` by :func:`document_columns`, which keeps none of
-them, and the columns are cut into one block per fridge. Supervised
-examples are cut from those blocks. For
-time-to-threshold regression, each defrost run (defrost flag 0->1 at t0,
+them and takes only numbers as timestamps. :func:`fridge_series` then
+orders the readings by fridge and timestamp with one stable lexsort and
+cuts one block per fridge. Supervised examples are cut from those blocks.
+For time-to-threshold regression, each defrost run (defrost flag 0->1 at t0,
 1->0 at t1) yields a window of ``window_len`` steps strictly before t0 and
 a target of t1 - t0 seconds; a decision lead only moves the window's
 boundary. For fault classification, work-order texts are regex-joined to
@@ -24,9 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from coldflow.docstore.documents import type_rank
 from coldflow.runconfig import DEFAULT_TARGET_BAND_S
-from coldflow.telemetry import UnsortedInput, field_value
+from coldflow.telemetry import check_timestamps, field_value
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +43,6 @@ class InsufficientHistory(Exception):
     """A window could not be assembled at the requested position."""
 
 
-DEFAULT_FEATURES = ("air_on_temperature", "air_off_temperature")
 DEFAULT_CADENCE_S = 60.0
 DEFAULT_GAP_FACTOR = 3.0
 
@@ -70,18 +69,13 @@ class FridgeSeries:
 
 
 class Columns(NamedTuple):
-    """Telemetry documents as columns, one entry per document, in order.
-
+    """Telemetry documents as columns, one entry per document, in order;
     ``timestamps``, ``defrost`` and ``features`` hold each value converted
-    as :class:`FridgeSeries` says. ``timestamp_keys`` holds the key
-    ``$sort`` orders each timestamp by, or is None when every timestamp is
-    a number, so that the key is the float itself.
-    """
+    as :class:`FridgeSeries` says."""
 
     fridge_ids: list
     store_ids: list
     timestamps: np.ndarray
-    timestamp_keys: list | None
     defrost: np.ndarray
     features: np.ndarray
 
@@ -99,18 +93,12 @@ def _feature_column(values: list) -> np.ndarray:
     return column
 
 
-def _timestamp_key(value):
-    """``$sort``'s key for a present timestamp: null, then bools, numbers
-    and strings, each in its natural order."""
-    rank = type_rank(value)
-    return (rank, float(value)) if rank == 3 else (rank, value)
-
-
 def document_columns(docs, feature_names) -> Columns:
     """Telemetry documents, as parsed from their stored lines (which
-    ``telemetry.derive_features`` writes), read once into :class:`Columns`. Features resolve through
-    ``telemetry.field_value``. Keeps no document, so ``docs`` may be a
-    stream."""
+    ``telemetry.derive_features`` writes), read once into :class:`Columns`.
+    Features resolve through ``telemetry.field_value``. Keeps no document,
+    so ``docs`` may be a stream. A timestamp that is not a number raises
+    ``telemetry.check_timestamps``'s TypeError."""
     names = tuple(feature_names)
     fridge_ids, store_ids, stamps, defrost = [], [], [], []
     values = [[] for _ in names]
@@ -121,95 +109,41 @@ def document_columns(docs, feature_names) -> Columns:
         defrost.append(doc["defrost_state"])
         for column, name in zip(values, names):
             column.append(field_value(doc, name))
-    keys = None
-    if not set(map(type, stamps)) <= {float, int}:
-        keys = [_timestamp_key(t) for t in stamps]
-    return Columns(fridge_ids, store_ids, np.array(stamps, dtype=np.float64), keys,
+    check_timestamps(fridge_ids, stamps)
+    return Columns(fridge_ids, store_ids, np.array(stamps, dtype=np.float64),
                    np.array(defrost, dtype=np.float64),
                    np.column_stack([_feature_column(column) for column in values]))
 
 
-def _series_by_fridge(columns: Columns, rows: np.ndarray, order: np.ndarray,
-                      fridge_ids: list, names: tuple) -> dict[str, FridgeSeries]:
-    """One FridgeSeries per fridge. ``rows[i]`` is document i's fridge, as
-    a position in ``fridge_ids``; ``order`` puts the documents in
-    ascending fridge position, each fridge's in the order its block
-    keeps."""
-    grouped = rows[order]
-    timestamps = columns.timestamps[order]
-    defrost = columns.defrost[order]
-    features = columns.features[order]
+def fridge_series(parts: list[Columns], feature_names) -> dict[str, FridgeSeries]:
+    """One FridgeSeries per fridge from the columns of a stream's
+    consecutive parts, keyed in sorted fridge-id order. Each fridge's
+    readings are stable-sorted by timestamp, ties in stream order, so a
+    batch stored out of order still reads forwards in time."""
+    names = tuple(feature_names)
+    fridge_ids = [f for part in parts for f in part.fridge_ids]
+    store_ids = [s for part in parts for s in part.store_ids]
+    position = {f: i for i, f in enumerate(sorted(set(fridge_ids)))}
+    rows = np.array([position[f] for f in fridge_ids], dtype=np.intp)
+    timestamps = np.concatenate([part.timestamps for part in parts])
+    order = np.lexsort((timestamps, rows))
+    rows = rows[order]
+    timestamps = timestamps[order]
+    defrost = np.concatenate([part.defrost for part in parts])[order]
+    features = np.concatenate([part.features for part in parts])[order]
     order = order.tolist()
-    if not order:
-        return {}
-    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), len(order)]
-    blocks = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        fridge_id = fridge_ids[grouped[lo]]
-        backwards = np.flatnonzero(np.diff(timestamps[lo:hi]) < 0)
-        if backwards.size:
-            raise UnsortedInput(f"fridge {fridge_id!r} goes backwards at "
-                                f"t={timestamps[lo + backwards[0] + 1]}")
-        blocks[fridge_id] = FridgeSeries(
+    bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(order)]
+    return {
+        fridge_id: FridgeSeries(
             fridge_id=fridge_id,
             feature_names=names,
             timestamps=timestamps[lo:hi],
             defrost=defrost[lo:hi],
             features=features[lo:hi],
-            store_ids=tuple(columns.store_ids[i] for i in order[lo:hi]),
+            store_ids=tuple(store_ids[i] for i in order[lo:hi]),
         )
-    return blocks
-
-
-def fridge_series(docs: list[dict],
-                  feature_names=DEFAULT_FEATURES) -> dict[str, FridgeSeries]:
-    """Build one FridgeSeries per fridge from telemetry documents, as parsed
-    from their stored lines (which ``telemetry.derive_features`` writes),
-    keyed in order of first appearance. Features resolve through ``telemetry.field_value``.
-
-    Accepts both fridge-major and time-interleaved streams; what matters
-    downstream is that each fridge's own documents never go backwards.
-    """
-    columns = document_columns(docs, feature_names)
-    first_seen: dict = {}
-    rows = np.array([first_seen.setdefault(f, len(first_seen)) for f in columns.fridge_ids],
-                    dtype=np.intp)
-    return _series_by_fridge(columns, rows, np.argsort(rows, kind="stable"),
-                             list(first_seen), tuple(feature_names))
-
-
-def _joined(parts: list[Columns]) -> Columns:
-    """The columns of consecutive parts of one stream, as one."""
-    keys = None
-    if any(part.timestamp_keys is not None for part in parts):
-        keys = [key for part in parts for key in (
-            part.timestamp_keys or [(3, t) for t in part.timestamps.tolist()])]
-    return Columns(
-        [f for part in parts for f in part.fridge_ids],
-        [s for part in parts for s in part.store_ids],
-        np.concatenate([part.timestamps for part in parts]),
-        keys,
-        np.concatenate([part.defrost for part in parts]),
-        np.concatenate([part.features for part in parts]),
-    )
-
-
-def sorted_fridge_series(parts: list[Columns], feature_names) -> dict[str, FridgeSeries]:
-    """One FridgeSeries per fridge from the columns of a collection's
-    consecutive parts, keyed in sorted fridge-id order. Each fridge's
-    readings run in ``$sort``'s timestamp order, ties in document order,
-    so a batch ingested out of order still reads forwards in time."""
-    columns = _joined(parts)
-    fridge_ids = sorted(set(columns.fridge_ids))
-    position = {f: i for i, f in enumerate(fridge_ids)}
-    rows = np.array([position[f] for f in columns.fridge_ids], dtype=np.intp)
-    if columns.timestamp_keys is None:
-        order = np.lexsort((columns.timestamps, rows))  # stable: ties keep file order
-    else:
-        keys, by_row = columns.timestamp_keys, rows.tolist()
-        order = np.array(sorted(range(len(keys)), key=lambda i: (by_row[i], keys[i])),
-                         dtype=np.intp)
-    return _series_by_fridge(columns, rows, order, fridge_ids, tuple(feature_names))
+        for fridge_id, lo, hi in zip(position, bounds, bounds[1:])
+    }
 
 
 def assemble_window(
@@ -480,11 +414,11 @@ def merge_faults(
 ):
     """Join faults to telemetry and cut positive/negative windows.
 
-    ``series`` maps fridge ids to their blocks, as :func:`fridge_series`
-    builds them. Positive: window ending horizon_seconds before a fault of
-    that fridge. Negative: window whose end sits at least 2 x
-    horizon_seconds away from every fault of the same fridge, sampled
-    seeded-uniformly across the fleet. Defrost steps are allowed inside
+    ``series`` maps fridge ids to their time-ordered blocks, as
+    :func:`fridge_series` builds them. Positive: window ending
+    horizon_seconds before a fault of that fridge. Negative: window whose
+    end sits at least 2 x horizon_seconds away from every fault of the same
+    fridge, sampled seeded-uniformly across the fleet. Defrost steps are allowed inside
     fault windows (they are normal operation). Returns (examples,
     FaultMergeStats).
     """

@@ -58,6 +58,7 @@ from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
     balance_classes,
+    document_columns,
     extract_defrost_examples,
     fridge_series,
     merge_faults,
@@ -109,7 +110,8 @@ def dsr(tmp_path_factory):
     for spec, records in simulate_fleet(sim):
         docs = [parse_document_line(line)
                 for line in derive_features(records, midband_setpoints(spec)).lines]
-        series = fridge_series(docs, WINDOW_FEATURES)[spec.fridge_id]
+        series = fridge_series([document_columns(docs, WINDOW_FEATURES)],
+                               WINDOW_FEATURES)[spec.fridge_id]
         examples, _ = extract_defrost_examples(series, window_len=32, threshold=8.0)
         lead0_examples += len(examples)
         for ex in examples:
@@ -207,7 +209,8 @@ def fault(tmp_path_factory):
     for spec, recs in simulate_fleet(sim, fault_plans=plans):
         fridge_docs = [parse_document_line(line)
                        for line in derive_features(recs, midband_setpoints(spec)).lines]
-        series.update(fridge_series(fridge_docs, WINDOW_FEATURES))
+        series.update(fridge_series([document_columns(fridge_docs, WINDOW_FEATURES)],
+                                    WINDOW_FEATURES))
 
     examples, stats = merge_faults(
         series,

@@ -554,6 +554,22 @@ def test_encoded_appends_keep_ids_and_the_next_read_reloads_once(tmp_path, monke
         (tmp_path / "plain" / "t.ndjson").read_bytes()
 
 
+def test_a_writers_reads_after_a_list_insert_match_its_file(tmp_path):
+    # The collection's documents are in the view before the insert, and the
+    # caller changes its document after it: the handle still reads the file.
+    doc = {"_id": "a", "v": (1, 2), "n": {"k": [1]}}
+    match = [{"$match": {"v": [1, 2]}}]
+    with open_store(tmp_path / "s") as store:
+        assert store.find_all("c") == []
+        store.insert_many("c", [doc])
+        doc["n"]["k"].append(99)
+        seen = store.get("c", "a"), store.aggregate("c", match)
+    with open_store(tmp_path / "s") as store:
+        reopened = store.get("c", "a"), store.aggregate("c", match)
+    assert seen == reopened == ({"_id": "a", "v": [1, 2], "n": {"k": [1]}},
+                                [{"_id": "a", "v": [1, 2], "n": {"k": [1]}}])
+
+
 def test_a_writers_first_id_check_keeps_only_ids(tmp_path):
     docs = [{"_id": f"d{i}", "v": i} for i in range(4)]
     with open_store(tmp_path / "s") as store:

@@ -18,7 +18,7 @@ from coldflow.pipelines import (
 )
 from coldflow.runconfig import validate_config
 from coldflow.telemetry import Setpoints, TelemetryRecord
-from coldflow.wrangler import fridge_series
+from coldflow.wrangler import document_columns, fridge_series
 
 
 DSR0 = {"name": "dsr0", "task": "regression", "cell": "rnn",
@@ -114,14 +114,14 @@ def blocks_through_group_match_sort(store, feature_names) -> dict:
             pipelines.TELEMETRY,
             [{"$match": {"fridge_id": fid}}, {"$sort": {"timestamp": 1}}],
         )
-        blocks.update(fridge_series(docs, feature_names))
+        blocks.update(fridge_series([document_columns(docs, feature_names)], feature_names))
     return blocks
 
 
 def test_telemetry_blocks_match_the_group_match_sort_path(tmp_path):
     # Interleaved fridges in out-of-order batches, int and float timestamps
-    # (some equal across types, so the sort's stability shows), odd
-    # feature values, and one fridge whose timestamps are not all numbers.
+    # (some equal across types, so the sort's stability shows) and odd
+    # feature values.
     rng = random.Random(5)
     docs = []
     for i in range(400):
@@ -135,11 +135,6 @@ def test_telemetry_blocks_match_the_group_match_sort_path(tmp_path):
             "derived": rng.choice([{"air_on_diff": rng.uniform(-1, 1)}, {}]),
             "extra": rng.choice([{"power_kw": 2}, {"power_kw": "x"}, {}]),
         })
-    # $sort puts null, then bools, before every number.
-    odd = {"F9": [None, True, 30, "45", 15.0, False, 30.0], "F8": [30, 1, 1.5, False, True]}
-    docs += [{"_id": f"{fid}:{i}", "fridge_id": fid, "store_id": "S2", "timestamp": stamp,
-              "defrost_state": 0, "air_on_temperature": float(i), "air_off_temperature": 2.0}
-             for fid, stamps in odd.items() for i, stamp in enumerate(stamps)]
     batches = [docs[i:i + 37] for i in range(0, len(docs), 37)]
     rng.shuffle(batches)
     with open_store(str(tmp_path / "s")) as store:
@@ -150,9 +145,7 @@ def test_telemetry_blocks_match_the_group_match_sort_path(tmp_path):
         got = pipelines.telemetry_blocks(store, names)
     with open_store(str(tmp_path / "s"), read_only=True) as store:
         want = blocks_through_group_match_sort(store, names)
-    assert list(got) == list(want) == ["F0", "F1", "F10", "F2", "F8", "F9"]
-    assert np.isnan(want["F9"].timestamps[0])
-    assert want["F8"].features[:, 0].tolist() == [3.0, 4.0, 1.0, 2.0, 0.0]
+    assert list(got) == list(want) == ["F0", "F1", "F10", "F2"]
     assert np.isnan(want["F0"].features).any()
     for fid, block in want.items():
         assert got[fid].fridge_id == fid
@@ -163,9 +156,9 @@ def test_telemetry_blocks_match_the_group_match_sort_path(tmp_path):
 
 
 def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
-    # Four fridges ingested in out-of-order batches, then one fridge whose
-    # timestamps are not all numbers, stored last: at width 2 the first
-    # range holds numbers only and the second range the odd ones.
+    # Four fridges ingested in out-of-order batches, then one fridge with
+    # int timestamps, out of order and with ties, stored last: at width 2
+    # only the second range holds int timestamps.
     import concurrent.futures
     import threading
 
@@ -179,11 +172,11 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
                        for i in range(60)]
             pipelines.ingest_records(store, records[30:], setpoints)
             pipelines.ingest_records(store, records[:30], setpoints)
-        odd = [None, True, 30, "45", 15.0, False, 30.0]
+        ints = [0, 60, 30, 45, 15, 0, 30]
         store.insert_many(pipelines.TELEMETRY, [
             {"_id": f"F9:{i}", "fridge_id": "F9", "store_id": None, "timestamp": stamp,
              "defrost_state": 0, "air_on_temperature": float(i), "air_off_temperature": 2.0}
-            for i, stamp in enumerate(odd)])
+            for i, stamp in enumerate(ints)])
     pools = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
@@ -221,13 +214,22 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
 
 
 def test_telemetry_blocks_fail_as_a_serial_read_does(tmp_path):
-    with open_store(str(tmp_path / "s")) as store:
-        store.insert_many(pipelines.TELEMETRY, [
-            {"_id": f"F0:{i}", "fridge_id": "F0", "timestamp": 60.0 * i, "defrost_state": 0}
-            for i in range(20)] + [{"_id": "F0:late", "fridge_id": "F0", "defrost_state": 0}])
-        for width in (1, 2):
-            with pytest.raises(KeyError, match="timestamp"):
-                pipelines.telemetry_blocks(store, ("timestamp",), width)
+    # The failing reading is stored last, so at width 2 a worker meets it.
+    failures = [(KeyError, "timestamp", {})] + [
+        (TypeError, f"fridge 'F1': timestamp {stamp!r} is not a number", {"timestamp": stamp})
+        for stamp in (None, True, "45")]
+    for k, (error, message, last) in enumerate(failures):
+        with open_store(str(tmp_path / f"s{k}")) as store:
+            store.insert_many(pipelines.TELEMETRY, [
+                {"_id": f"F0:{i}", "fridge_id": "F0", "timestamp": 60.0 * i,
+                 "defrost_state": 0} for i in range(20)]
+                + [{"_id": "F1:late", "fridge_id": "F1", "defrost_state": 0, **last}])
+            raised = []
+            for width in (1, 2):
+                with pytest.raises(error) as info:
+                    pipelines.telemetry_blocks(store, ("timestamp",), width)
+                raised.append(str(info.value))
+            assert raised[0] == raised[1] and message in raised[0]
 
 
 def test_insert_new_checks_a_batch_in_one_call(tmp_path, monkeypatch):

@@ -231,6 +231,14 @@ def test_derive_features_requires_sorted_input():
         derive_features([rec("b", 0), rec("a", 0)], Setpoints(3.0, 1.0))
 
 
+@pytest.mark.parametrize("stamp", [True, "60", None])
+def test_derive_features_rejects_a_timestamp_that_is_not_a_number(stamp):
+    records = [rec("a", 0), rec("a", 60), rec("a", 120)]
+    records[1].timestamp = stamp
+    with pytest.raises(TypeError, match=f"fridge 'a': timestamp {stamp!r} is not a number"):
+        derive_features(records, Setpoints(3.0, 1.0))
+
+
 def documents_through_derived_records(records, setpoints):
     """The former ingest path, kept as the reference: one pass built new
     records carrying a derived map, each predecessor looked up in a
@@ -300,8 +308,9 @@ def reading(fridge, ts, on=3.0, off=1.0, defrost=0, store=None, extra=None):
 
 # Batches whose lines hold what a per-reading template could get wrong:
 # quotes, a non-ASCII character and a % in ids, a null store id, empty and
-# missing extra cells, bool and int extras, signed zeros, the largest and
-# smallest floats, and several fridges, each restarting its deltas.
+# missing extra cells, bool and int extras, int timestamps, signed zeros,
+# the largest and smallest floats, and several fridges, each restarting its
+# deltas.
 EDGE_BATCHES = [
     [reading('caf\u00e9 "7"', -0.0, on=-0.0, off=5e-324, store=None,
              extra={"note": "", "p": 1e16}),
@@ -311,7 +320,8 @@ EDGE_BATCHES = [
              extra={"p": 2.0, "note": "door %s open"})],
     [reading("a%d", 0.0, extra={"z": 1.0, "a": "", "door": True, "n": 3}),
      reading("a%d", 60.0, on=4.25),
-     reading("b", 30.0, on=-2.5, off=0.1), reading("b", 90.0, on=7.0, off=0.3),
+     reading("b", 30, on=-2.5, off=0.1), reading("b", 90, on=7.0, off=0.3),
+     reading("b", 90.5, on=7.0, off=0.3),
      reading("c", -60.0, store="S1")],
     [],
 ]

@@ -8,7 +8,7 @@ import pytest
 
 import naive_window
 
-from coldflow.telemetry import UnsortedInput, field_value
+from coldflow.telemetry import field_value
 from coldflow.wrangler import (
     DEFAULT_CADENCE_S,
     DEFAULT_GAP_FACTOR,
@@ -18,6 +18,7 @@ from coldflow.wrangler import (
     Workorder,
     assemble_window,
     balance_classes,
+    document_columns,
     extract_defrost_examples,
     fridge_series,
     merge_faults,
@@ -70,27 +71,55 @@ def contiguous_stream(n, fridge="f1", start=0.0, defrost_at=()):
     ]
 
 
+FEATURES = ("air_on_temperature", "air_off_temperature")
+
+
+def series_of(docs, names=FEATURES):
+    """Every fridge's FridgeSeries of a stream of documents."""
+    return fridge_series([document_columns(docs, names)], names)
+
+
 def block(records):
     """The one fridge's FridgeSeries of a single-fridge stream."""
-    (series,) = fridge_series(documents(records)).values()
+    (series,) = series_of(documents(records)).values()
     return series
 
 
-def test_fridge_series_requires_per_fridge_time_order():
-    backwards = contiguous_stream(5)
-    backwards[3], backwards[4] = backwards[4], backwards[3]
-    with pytest.raises(UnsortedInput):
-        fridge_series(documents(backwards))
+def test_fridge_series_sorts_each_fridge_by_time():
+    forwards = contiguous_stream(5)
+    backwards = forwards[::-1]
+    backwards[1], backwards[2] = backwards[2], backwards[1]
+    got, want = block(backwards), block(forwards)
+    assert got.timestamps.tolist() == [i * 60.0 for i in range(5)]
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.defrost.tobytes() == want.defrost.tobytes()
 
-    # Time-interleaved, and fridge-major with a later fridge starting
-    # earlier: each fridge's own readings still go forwards.
+    # Time-interleaved, fridge-major with a later fridge starting earlier,
+    # and fridge-major with the fridges in reverse: blocks come keyed in
+    # sorted fridge order, each running forwards in time.
     interleaved = sorted(contiguous_stream(5, fridge="a") + contiguous_stream(5, fridge="b"),
                          key=lambda r: r.timestamp)
     fridge_major = contiguous_stream(5, fridge="a", start=600.0) + contiguous_stream(5, fridge="b")
-    for stream in (interleaved, fridge_major):
-        series = fridge_series(documents(stream))
+    reversed_major = contiguous_stream(5, fridge="b") + contiguous_stream(5, fridge="a")
+    for stream in (interleaved, fridge_major, reversed_major):
+        series = series_of(documents(stream))
         assert list(series) == ["a", "b"]
         assert series["b"].timestamps.tolist() == [i * 60.0 for i in range(5)]
+
+    # Equal timestamps keep stream order.
+    ties = [make_record(60.0, air_on=value) for value in (5.0, 4.0, 6.0)]
+    assert block(ties).features[:, 0].tolist() == [5.0, 4.0, 6.0]
+
+
+@pytest.mark.parametrize("stamp", [None, True, False, "45"])
+def test_document_columns_reject_a_timestamp_that_is_not_a_number(stamp):
+    docs = documents(contiguous_stream(3))
+    docs[1]["timestamp"] = stamp
+    with pytest.raises(TypeError, match=f"fridge 'f1': timestamp {stamp!r} is not a number"):
+        document_columns(docs, FEATURES)
+    docs[1]["timestamp"] = 60
+    (series,) = series_of(docs).values()
+    assert series.timestamps.tolist() == [0.0, 60.0, 120.0]
 
 
 def test_assemble_window_basic_and_strictness():
@@ -123,7 +152,7 @@ def test_fridge_series_feature_lookup_on_documents():
     assert field_value(docs[0], "odd") is None
     assert field_value(docs[0], "absent") is None
     names = ("air_on_temperature", "both", "door", "odd", "absent")
-    (series,) = fridge_series(docs, names).values()
+    (series,) = series_of(docs, names).values()
     nan = float("nan")
     want = np.array([[3.5, 4.0, 1.0, nan, nan]] * 4 + [[3.5, 4.0, 1.0, 7.0, nan]])
     np.testing.assert_array_equal(series.features, want)
@@ -193,7 +222,7 @@ def test_array_cut_matches_record_loop():
         if rng.random() < 0.05:
             names += ("absent",)  # every window is non-finite
         docs = documents(records)
-        (series,) = fridge_series(docs, names).values()
+        (series,) = series_of(docs, names).values()
         assert not np.isinf(series.features).any()  # inf is stored as NaN
         for _ in range(60):
             if rng.random() < 0.5:
@@ -280,7 +309,7 @@ def test_extract_handles_multiple_fridges_and_runs():
         key=lambda r: r.timestamp,
     )
     examples, rejects = [], []
-    for series in fridge_series(documents(records)).values():
+    for series in series_of(documents(records)).values():
         found, rejected = extract_defrost_examples(series, window_len=5, threshold=8.0)
         examples += found
         rejects += rejected
@@ -346,7 +375,7 @@ def fault_fixture():
         Workorder("store S01 fridge F001 icepack fault", 30 * 3600.0),
         Workorder("fridge F002 needs gas recharge", 40 * 3600.0),
     ]
-    return fridge_series(documents(records)), orders
+    return series_of(documents(records)), orders
 
 
 def test_merge_faults_positives_and_negative_distance():
