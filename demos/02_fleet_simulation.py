@@ -19,13 +19,13 @@ from coldflow.fridgesim import (
 # Three fridges for one day, with per-step sensor noise disabled.
 config = noise_free(SimConfig(n_fridges=3, days=1.0, seed=7))
 
-for spec, records in simulate_fleet(config):
+for spec, readings in simulate_fleet(config):
     print(f"{spec.fridge_id}: k_warm={spec.k_warm:.2e}, "
           f"band=({spec.t_set_low:.2f}, {spec.t_set_high:.2f}), "
           f"ambient={spec.t_ambient:.2f}")
 
-    # Find the first defrost run: consecutive records with defrost_state 1.
-    flags = [r.defrost_state for r in records]
+    # Find the first defrost run: consecutive readings with the defrost flag set.
+    flags = readings.defrost
     start = flags.index(1)
     end = start
     while flags[end] == 1:
@@ -34,15 +34,15 @@ for spec, records in simulate_fleet(config):
 
     # During defrost the compressor is off and the case warms toward
     # ambient; the closed form gives the time to the 8 degC threshold.
-    predicted = true_time_to_threshold(spec, records[start].air_on_temperature)
-    print(f"  defrost from {records[start].air_on_temperature:.2f} degC: "
+    predicted = true_time_to_threshold(spec, readings.air_on[start])
+    print(f"  defrost from {readings.air_on[start]:.2f} degC: "
           f"{measured:.0f}s simulated vs {predicted:.0f}s closed form")
 
-# With noise on, the same seeds give the same records: the noise sequence
+# With noise on, the same seeds give the same readings: the noise sequence
 # is drawn per fridge up front, so runs are reproducible bit for bit.
 noisy = SimConfig(n_fridges=1, days=0.1, seed=7)
-a = [r.air_on_temperature for _, recs in simulate_fleet(noisy) for r in recs]
-b = [r.air_on_temperature for _, recs in simulate_fleet(noisy) for r in recs]
+a = [readings.air_on for _, readings in simulate_fleet(noisy)]
+b = [readings.air_on for _, readings in simulate_fleet(noisy)]
 print("noisy rerun identical:", a == b)
 print("fleet specs are pure functions of (seed, index):",
       fleet_specs(noisy)[0] == fleet_specs(noisy)[0])

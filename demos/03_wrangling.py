@@ -27,9 +27,9 @@ from coldflow.wrangler import (
 # store.
 config = SimConfig(n_fridges=2, days=30.0, seed=3)
 examples = []
-for spec, records in simulate_fleet(config):
+for spec, readings in simulate_fleet(config):
     docs = [parse_document_line(line)
-            for line in derive_features(records, midband_setpoints(spec)).lines]
+            for line in derive_features(readings, midband_setpoints(spec)).lines]
     names = ("air_on_temperature", "air_on_diff")
     series = fridge_series([document_columns(docs, names)], names)[spec.fridge_id]
     print(f"{spec.fridge_id}: block of {series.features.shape[0]} readings x "

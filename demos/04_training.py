@@ -28,9 +28,9 @@ FEATURES = ("air_on_temperature", "air_off_temperature", "air_on_diff",
 
 # A small corpus: six fridges for ten days gives a few hundred defrosts.
 examples = []
-for spec, records in simulate_fleet(SimConfig(n_fridges=6, days=10.0, seed=5)):
+for spec, readings in simulate_fleet(SimConfig(n_fridges=6, days=10.0, seed=5)):
     docs = [parse_document_line(line)
-            for line in derive_features(records, midband_setpoints(spec)).lines]
+            for line in derive_features(readings, midband_setpoints(spec)).lines]
     series = fridge_series([document_columns(docs, FEATURES)], FEATURES)[spec.fridge_id]
     found, _ = extract_defrost_examples(series, window_len=24, threshold=8.0)
     examples.extend(found)

@@ -44,9 +44,9 @@ print("a work order:", orders[0][0])
 features = ("air_on_temperature", "air_off_temperature", "air_on_diff",
             "targetTemp_on", "targetTemp_off")
 series = {}
-for spec, recs in simulate_fleet(config, fault_plans=plans):
+for spec, readings in simulate_fleet(config, fault_plans=plans):
     docs = [parse_document_line(line)
-            for line in derive_features(recs, midband_setpoints(spec)).lines]
+            for line in derive_features(readings, midband_setpoints(spec)).lines]
     series.update(fridge_series([document_columns(docs, features)], features))
 
 # The join parses free-text orders with the configured patterns, cuts a

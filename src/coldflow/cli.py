@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -39,7 +39,7 @@ import traceback
 from coldflow.docstore import open_store
 from coldflow.processes import in_order_on_processes
 from coldflow.runconfig import DEFAULT_POOL_WIDTH, ConfigError, load_config
-from coldflow.telemetry import Setpoints, parse_telemetry_csv
+from coldflow.telemetry import Setpoints, parse_telemetry_csv, runs
 
 # Nominal retail chill setpoints, used only when ingesting CSVs that
 # arrive without a setpoints sidecar; they land in provenance fields.
@@ -140,11 +140,11 @@ def cmd_simulate(args) -> int:
     (out / "telemetry").mkdir(parents=True, exist_ok=True)
     setpoints = {}
     rows = 0
-    for spec, records in simulate_fleet(sim_config, plans):
-        write_telemetry_csv(records, out / "telemetry" / f"{spec.fridge_id}.csv")
+    for spec, readings in simulate_fleet(sim_config, plans):
+        write_telemetry_csv(readings, out / "telemetry" / f"{spec.fridge_id}.csv")
         sp = pipelines.midband_setpoints(spec)
         setpoints[spec.fridge_id] = [sp.on, sp.off]
-        rows += len(records)
+        rows += len(readings)
     (out / "setpoints.json").write_text(
         json.dumps(setpoints, indent=2, sort_keys=True) + "\n")
     (out / "workorders.json").write_text(
@@ -164,13 +164,37 @@ def _ingest_file(path: pathlib.Path, sidecar: dict, fallback: Setpoints):
     from coldflow import pipelines
     from coldflow.fridgesim import FLEET_CSV_SCHEMA
 
-    records, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+    readings, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
     batches = []
-    for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
-        pair = sidecar.get(fid)
+    for lo, hi in runs(readings.fridge_ids):
+        pair = sidecar.get(readings.fridge_ids[lo])
         sp = Setpoints(on=pair[0], off=pair[1]) if pair else fallback
-        batches.append(pipelines.fridge_batch(list(group), sp))
+        batches.append(pipelines.fridge_batch(readings[lo:hi], sp))
     return batches, len(rejects)
+
+
+def _is_number(value) -> bool:
+    """An int or a finite float, as JSON gives them; a bool is not one."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _sidecar(path: pathlib.Path, kind: type, valid, expected: str):
+    """The JSON in ``path`` (None when there is no such file), a ``kind``
+    whose entries all pass ``valid``. Raises ValueError naming the file and
+    its first bad entry."""
+    if not path.is_file():
+        return None
+    try:
+        value = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: expected a JSON {kind.__name__} of {expected}")
+    for key, entry in value.items() if kind is dict else enumerate(value):
+        if not (isinstance(entry, list) and len(entry) == 2 and valid(*entry)):
+            raise ValueError(f"{path}: entry {key!r} is {json.dumps(entry)}, "
+                             f"not {expected}")
+    return value
 
 
 def cmd_ingest(args) -> int:
@@ -187,9 +211,12 @@ def cmd_ingest(args) -> int:
     if not csv_paths:
         print(f"error: no CSV files under {csv_dir}", file=sys.stderr)
         return 1
-    sidecar = {}
-    if (data / "setpoints.json").is_file():
-        sidecar = json.loads((data / "setpoints.json").read_text())
+    sidecar = _sidecar(data / "setpoints.json", dict,
+                       lambda on, off: _is_number(on) and _is_number(off),
+                       "[on, off] setpoints, two finite numbers") or {}
+    orders = _sidecar(data / "workorders.json", list,
+                      lambda text, ts: isinstance(text, str) and _is_number(ts),
+                      "[text, timestamp], a string and a finite number")
     fallback = Setpoints(
         on=args.target_on if args.target_on is not None else DEFAULT_TARGET_ON,
         off=args.target_off if args.target_off is not None else DEFAULT_TARGET_OFF,
@@ -204,10 +231,9 @@ def cmd_ingest(args) -> int:
             for telemetry, ratings in batches:
                 count, _ = pipelines.store_fridge_batch(store, telemetry, ratings)
                 inserted += count
-        if (data / "workorders.json").is_file():
-            raw = json.loads((data / "workorders.json").read_text())
+        if orders is not None:
             orders_in, _ = pipelines.ingest_workorders(
-                store, [(text, ts) for text, ts in raw])
+                store, [(text, ts) for text, ts in orders])
     print(f"ingested {inserted} telemetry records and {orders_in} work orders "
           f"({rejected} rejected rows) into {store_path}")
     return 0

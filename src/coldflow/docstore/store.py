@@ -17,7 +17,8 @@ and a reader skips it, and both log a warning.
 
 Writes: ``insert_many`` takes a list of documents, or an :class:`Encoded`
 batch already checked and encoded (by :func:`encode_documents`, or for
-telemetry by ``telemetry.derive_features``), perhaps in another process.
+telemetry by ``telemetry.derive_features`` straight from a batch's
+columns), perhaps in another process.
 After either, the view keeps only the collection's ids, so ``absent``,
 ``count`` and later inserts still need no parse, and the next read of the
 documents reloads the file once: what a handle reads is what the file

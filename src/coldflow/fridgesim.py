@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from coldflow.runconfig import WORKORDER_PATTERNS  # matches workorders_for_plans' text
-from coldflow.telemetry import CsvSchema, TelemetryRecord
+from coldflow.telemetry import CsvSchema, Readings
 
 SECONDS_PER_DAY = 86400.0
 
@@ -147,11 +147,12 @@ def simulate_fridge(
     spec: FridgeSpec,
     config: SimConfig,
     fault: FaultPlan | None = None,
-) -> list[TelemetryRecord]:
+) -> Readings:
     """Run one fridge for the configured span at the telemetry cadence.
 
+    Returns its readings with a ``power_kw`` extra (0.0 unless cooling).
     The noise sequence is pre-drawn from (seed, fridge_index), so runs with
-    different fault plans share it step for step: records before any
+    different fault plans share it step for step: readings before any
     behavioral divergence are bit-identical across runs.
     """
     dt = config.cadence_s
@@ -160,7 +161,7 @@ def simulate_fridge(
     phase_steps = int(round(spec.defrost_phase_s / dt))
 
     rng = np.random.default_rng([config.seed, spec.fridge_index, 1])
-    # Plain Python floats end to end: records go through JSON untouched.
+    # Plain Python floats end to end: readings go through JSON untouched.
     noise = (
         rng.normal(0.0, spec.noise_sigma, steps).tolist()
         if spec.noise_sigma > 0.0
@@ -168,7 +169,7 @@ def simulate_fridge(
     )
 
     ramp_start = fault.fault_ts - fault.ramp_seconds if fault else None
-    records: list[TelemetryRecord] = []
+    stamps, air_ons, air_offs, flags, power = [], [], [], [], []
     temp = spec.initial_temp
     state = _COOLING
     defrost_elapsed = 0.0
@@ -199,17 +200,11 @@ def simulate_fridge(
             air_off = air_on - spec.spread
         else:
             air_off = air_on - 0.2 * spec.spread
-        records.append(
-            TelemetryRecord(
-                timestamp=t,
-                fridge_id=spec.fridge_id,
-                air_on_temperature=air_on,
-                air_off_temperature=air_off,
-                defrost_state=1 if state == _DEFROST else 0,
-                store_id=spec.store_id,
-                extra={"power_kw": spec.power_kw if cooling else 0.0},
-            )
-        )
+        stamps.append(t)
+        air_ons.append(air_on)
+        air_offs.append(air_off)
+        flags.append(1 if state == _DEFROST else 0)
+        power.append(spec.power_kw if cooling else 0.0)
 
         k_warm = spec.k_warm * (1.0 + (fault.k_warm_end_factor - 1.0) * progress) \
             if progress > 0.0 else spec.k_warm
@@ -226,11 +221,13 @@ def simulate_fridge(
             state = _IDLE
         elif state == _IDLE and temp >= spec.t_set_high:
             state = _COOLING
-    return records
+    n = len(stamps)
+    return Readings(stamps, [spec.fridge_id] * n, [spec.store_id] * n, air_ons, air_offs,
+                    flags, {"power_kw": power})
 
 
 def simulate_fleet(config: SimConfig, fault_plans: list[FaultPlan] | None = None):
-    """Yield (spec, records) per fridge; stream-friendly for large fleets."""
+    """Yield (spec, readings) per fridge; stream-friendly for large fleets."""
     plans = {plan.fridge_id: plan for plan in fault_plans or []}
     for spec in fleet_specs(config):
         yield spec, simulate_fridge(spec, config, fault=plans.get(spec.fridge_id))
@@ -331,26 +328,18 @@ FLEET_CSV_SCHEMA = CsvSchema(
 )
 
 
-def write_telemetry_csv(records: list[TelemetryRecord], path) -> None:
-    """Write records as a CSV readable back via FLEET_CSV_SCHEMA.
+def write_telemetry_csv(readings: Readings, path) -> None:
+    """Write simulated readings as a CSV readable back via FLEET_CSV_SCHEMA.
 
     Floats go out as repr, so a parse round trip reproduces them exactly.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(FLEET_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    repr(rec.timestamp),
-                    rec.fridge_id,
-                    rec.store_id or "",
-                    repr(rec.air_on_temperature),
-                    repr(rec.air_off_temperature),
-                    rec.defrost_state,
-                    repr(rec.extra.get("power_kw", 0.0)),
-                ]
-            )
+        writer.writerows(zip(map(repr, readings.timestamps), readings.fridge_ids,
+                             (store_id or "" for store_id in readings.store_ids),
+                             map(repr, readings.air_on), map(repr, readings.air_off),
+                             readings.defrost, map(repr, readings.extra["power_kw"])))
 
 
 def noise_free(config: SimConfig) -> SimConfig:

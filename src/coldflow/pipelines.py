@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import logging
 
 import numpy as np
@@ -68,7 +67,7 @@ from coldflow.selection import (
     select_candidates,
     select_dsr,
 )
-from coldflow.telemetry import Setpoints, derive_features
+from coldflow.telemetry import Readings, Setpoints, derive_features, runs
 from coldflow.wrangler import (
     InsufficientHistory,
     Workorder,
@@ -87,13 +86,13 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------- ingest
 
 
-def ingest_records(store, records, setpoints: Setpoints) -> tuple[int, int]:
+def ingest_records(store, readings: Readings, setpoints: Setpoints) -> tuple[int, int]:
     """Store one sorted batch of readings: :func:`fridge_batch`, then
     :func:`store_fridge_batch`. Returns the telemetry (inserted, skipped)."""
-    return store_fridge_batch(store, *fridge_batch(records, setpoints))
+    return store_fridge_batch(store, *fridge_batch(readings, setpoints))
 
 
-def fridge_batch(records, setpoints: Setpoints) -> tuple[Encoded, list[dict]]:
+def fridge_batch(readings: Readings, setpoints: Setpoints) -> tuple[Encoded, list[dict]]:
     """A batch of readings made ready to store, with no store at hand: its
     telemetry documents checked and encoded, and one rating per fridge.
 
@@ -103,7 +102,7 @@ def fridge_batch(records, setpoints: Setpoints) -> tuple[Encoded, list[dict]]:
     nothing, while a grown file, another batch, or a retry after a crash
     between the two writes each stores its own rating.
     """
-    return derive_features(records, setpoints), _rating_docs(records)
+    return derive_features(readings, setpoints), _rating_docs(readings)
 
 
 def store_fridge_batch(store, telemetry: Encoded, ratings: list[dict]) -> tuple[int, int]:
@@ -114,17 +113,17 @@ def store_fridge_batch(store, telemetry: Encoded, ratings: list[dict]) -> tuple[
     return counts
 
 
-def _rating_docs(records) -> list[dict]:
+def _rating_docs(readings: Readings) -> list[dict]:
     docs = []
-    for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
-        group = list(group)
+    stamps, power = readings.timestamps, readings.extra.get("power_kw", [])
+    for lo, hi in runs(readings.fridge_ids):
+        fid = readings.fridge_ids[lo]
         powers = [
-            value for value in (r.extra.get("power_kw") for r in group)
+            value for value in power[lo:hi]
             if isinstance(value, (int, float)) and not isinstance(value, bool)
         ]
         docs.append({
-            "_id": f"rating:{fid}:{group[0].timestamp!r}:{group[-1].timestamp!r}:"
-                   f"{len(group)}",
+            "_id": f"rating:{fid}:{stamps[lo]!r}:{stamps[hi - 1]!r}:{hi - lo}",
             "fridge_id": fid,
             "peak_power_kw": max(powers, default=None),
         })
@@ -497,8 +496,8 @@ def simulate_into_store(store, config: dict) -> dict:
     if orders:
         ingest_workorders(store, orders)
     total = 0
-    for spec, records in simulate_fleet(sim_config, plans):
-        inserted, _ = ingest_records(store, records, midband_setpoints(spec))
+    for spec, readings in simulate_fleet(sim_config, plans):
+        inserted, _ = ingest_records(store, readings, midband_setpoints(spec))
         total += inserted
     summary = {"fridges": sim_config.n_fridges, "records": total,
                "faults": len(plans)}

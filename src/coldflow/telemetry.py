@@ -1,24 +1,25 @@
-"""Telemetry records: CSV ingestion, derived features, stored lines.
+"""Telemetry readings: CSV ingestion, derived features, stored lines.
 
-A telemetry record is one sensor reading of one fridge: timestamp (epoch
-seconds), case air temperatures entering/leaving the evaporator, defrost
-state flag, optional store id, and an ``extra`` map carrying any unmapped
-sensor columns untouched. ``derive_features`` turns a sorted batch of
-records into what ingest stores: one canonical line per reading, holding
-the base fields, ``extra``, and a ``derived`` map (cadence deltas,
-setpoint differences) computed from a reading and its in-fridge
+A batch of sensor readings travels as :class:`Readings`, one list per
+field with one entry per reading: timestamp (epoch seconds), fridge id,
+store id (or None), case air temperatures entering/leaving the
+evaporator, defrost state flag, and an ``extra`` map from each unmapped
+sensor column's name to its values, untouched. ``derive_features`` turns
+a sorted batch into what ingest stores: one canonical line per reading,
+holding the base fields, ``extra``, and a ``derived`` map (cadence
+deltas, setpoint differences) computed from a reading and its in-fridge
 predecessor.
 
-No document is built on the way. The batch's columns are gathered once;
-the deltas and setpoint differences are whole-column subtractions, the
-same float subtractions a per-reading loop makes; each value is written
-to text once (``float.__repr__`` for floats, as ``canonical_dumps`` writes
-them), and the timestamp's text serves the _id, ``timestamp`` and
-``timestamp_sec``. Each run of readings that share a fridge id, store id
-and extra names fills one %-template holding the sorted keys and those
-values, encoded once through ``canonical_dumps``. A non-finite number
-anywhere in the batch, found from the texts in one pass, or a repeated _id
-raises what ``encode_documents`` raises on the same documents.
+No document is built on the way. The deltas and setpoint differences are
+whole-column subtractions, the same float subtractions a per-reading
+loop makes; each value is written to text once (``float.__repr__`` for
+floats, as ``canonical_dumps`` writes them), and the timestamp's text
+serves the _id, ``timestamp`` and ``timestamp_sec``. Each run of readings
+that share a fridge id and store id fills one %-template holding the
+sorted keys and those values, encoded once through ``canonical_dumps``.
+A non-finite number anywhere in the batch, found from the texts in one
+pass, or a repeated _id raises what ``encode_documents`` raises on the
+same documents.
 
 A reading's predecessor is looked for within its batch only: the deltas
 restart at each batch's first reading, so a fridge whose readings arrive
@@ -42,22 +43,43 @@ log = logging.getLogger(__name__)
 
 
 class MissingColumn(Exception):
-    """A required mapped column is absent from the CSV header."""
+    """A required mapped column is absent from the CSV header, or the
+    header names a column twice."""
 
 
 class UnsortedInput(Exception):
-    """Records must be sorted by (fridge_id, timestamp)."""
+    """Readings must be sorted by (fridge_id, timestamp)."""
 
 
 @dataclass(slots=True)
-class TelemetryRecord:
-    timestamp: float
-    fridge_id: str
-    air_on_temperature: float
-    air_off_temperature: float
-    defrost_state: int
-    store_id: str | None = None
-    extra: dict = field(default_factory=dict)
+class Readings:
+    """A batch of readings as columns, one list entry per reading; ``extra``
+    maps each extra channel's name to such a list, so every reading
+    carries every name. A slice gives a run of rows as a new batch."""
+
+    timestamps: list
+    fridge_ids: list
+    store_ids: list
+    air_on: list
+    air_off: list
+    defrost: list
+    extra: dict
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, rows: slice) -> Readings:
+        return Readings(self.timestamps[rows], self.fridge_ids[rows], self.store_ids[rows],
+                        self.air_on[rows], self.air_off[rows], self.defrost[rows],
+                        {name: values[rows] for name, values in self.extra.items()})
+
+
+def runs(values: list) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` bounds of each run of consecutive equal values,
+    such as one fridge's rows in a batch, in order."""
+    starts = itertools.compress(range(1, len(values)), map(operator.ne, values[1:], values))
+    bounds = [0, *starts, len(values)]
+    return list(zip(bounds, bounds[1:])) if values else []
 
 
 @dataclass(frozen=True)
@@ -67,7 +89,7 @@ class CsvSchema:
     ``columns`` must cover timestamp, air_on, air_off and defrost;
     fridge_id (and optionally store_id) may instead come from ``defaults``
     when the file describes a single unit. Unmapped columns ride along in
-    each record's ``extra`` map, parsed as float when possible.
+    the readings' ``extra`` map, each value parsed as float when possible.
     """
 
     columns: dict
@@ -98,12 +120,15 @@ def _parse_float(text: str) -> float:
 
 
 def parse_telemetry_csv(text: str, schema: CsvSchema):
-    """Parse CSV text into records plus per-row rejects.
+    """Parse CSV text into a batch of readings plus per-row rejects.
 
-    Returns ``(records, rejects)``. Unparseable required fields reject the
-    whole row with its 1-based data-row number (header not counted); other
-    rows are unaffected. Raises MissingColumn when a required mapped column
-    is missing from the header entirely.
+    Returns ``(readings, rejects)``: each accepted row appends to the
+    :class:`Readings` columns, with every unmapped column in ``extra``
+    (``""`` for a missing or empty cell). Unparseable required fields
+    reject the whole row with its 1-based data-row number (header not
+    counted); other rows are unaffected. Raises MissingColumn when a
+    required mapped column is missing from the header entirely, or when
+    the header names a column twice.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -112,6 +137,9 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
         raise MissingColumn("empty CSV: no header row") from None
     header = [h.strip() for h in header]
     positions = {name: i for i, name in enumerate(header)}
+    if len(positions) < len(header):
+        repeated = next(name for i, name in enumerate(header) if positions[name] != i)
+        raise MissingColumn(f"column {repeated!r} appears twice in the header")
 
     for canonical in CsvSchema.REQUIRED:
         column = schema.columns.get(canonical)
@@ -127,7 +155,8 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
             raise MissingColumn(f"required column {column!r} not in header")
 
     mapped = {column for column in schema.columns.values()}
-    extra_columns = [(name, positions[name]) for name in header if name not in mapped]
+    extra = {name: [] for name in header if name not in mapped}
+    extra_columns = [(values.append, positions[name]) for name, values in extra.items()]
     # Positions are resolved once. The checks run in a fixed order
     # (timestamp, air_on, air_off, defrost, fridge id), so a row with
     # several bad fields is always rejected for the first.
@@ -143,8 +172,7 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
         at_store = positions[schema.columns["store_id"]]
     default_store = schema.defaults.get("store_id")
 
-    records: list[TelemetryRecord] = []
-    rejects: list[RejectedRow] = []
+    rows, rejects = [], []
     for row_no, row in enumerate(reader, start=1):
         if not any(map(str.strip, row)):
             continue
@@ -170,36 +198,26 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
             rejects.append(RejectedRow(row=row_no, reason=str(exc)))
             continue
 
-        extra = {}
-        for name, position in extra_columns:
+        rows.append((timestamp, fridge_id, store_id, air_on, air_off, defrost))
+        for append, position in extra_columns:
             raw = row[position].strip() if position < len(row) else ""
             try:
-                extra[name] = _parse_float(raw)
+                append(_parse_float(raw))
             except ValueError:
-                extra[name] = raw
-        records.append(
-            TelemetryRecord(
-                timestamp=timestamp,
-                fridge_id=fridge_id,
-                store_id=store_id,
-                air_on_temperature=air_on,
-                air_off_temperature=air_off,
-                defrost_state=defrost,
-                extra=extra,
-            )
-        )
+                append(raw)
     if rejects:
         log.info("parse_telemetry_csv: %d rows rejected", len(rejects))
-    return records, rejects
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(6)]
+    return Readings(*columns, extra), rejects
 
 
-def check_sorted(records: list[TelemetryRecord]):
+def check_sorted(fridge_ids: list, timestamps: list):
     """Raise UnsortedInput unless sorted by (fridge_id, timestamp)."""
-    for prev, cur in zip(records, records[1:]):
-        if (cur.fridge_id, cur.timestamp) < (prev.fridge_id, prev.timestamp):
-            raise UnsortedInput(
-                f"records out of order near fridge {cur.fridge_id!r} t={cur.timestamp}"
-            )
+    late = map(operator.lt, zip(fridge_ids[1:], timestamps[1:]), zip(fridge_ids, timestamps))
+    i = next(itertools.compress(itertools.count(1), late), None)
+    if i is not None:
+        raise UnsortedInput(
+            f"records out of order near fridge {fridge_ids[i]!r} t={timestamps[i]}")
 
 
 def check_timestamps(fridge_ids, stamps: list):
@@ -212,72 +230,66 @@ def check_timestamps(fridge_ids, stamps: list):
             raise TypeError(f"fridge {fridge_id!r}: timestamp {stamp!r} is not a number")
 
 
-def derive_features(records: list[TelemetryRecord], setpoints: Setpoints) -> Encoded:
-    """The telemetry documents ingest stores, one per record, as their
+def derive_features(readings: Readings, setpoints: Setpoints) -> Encoded:
+    """The telemetry documents ingest stores, one per reading, as their
     checked canonical lines; the input is left untouched.
 
-    Each document has _id "<fridge_id>:<timestamp>", the record's base
-    fields, its ``extra`` map and a ``derived`` map: timestamp_sec (alias
-    of the timestamp), time_diff_sec (cadence delta within a fridge, 0.0 at
-    each fridge's first record), air_on_diff and air_off_diff (temperature
-    change since the previous record of the same fridge, 0.0 at its first
-    record), targetTemp_on/off (the setpoints) and targetTemp_on_diff/
-    off_diff (measured minus setpoint). Records must be sorted by
-    (fridge_id, timestamp), so a record's in-fridge predecessor is the
-    record before it when that has the same fridge id; the first record
-    of the batch has none, whatever the store already holds. A timestamp
-    must be an int or a float (not a bool); anything else raises TypeError,
-    as the wrangle stage's read would.
+    Each document has _id "<fridge_id>:<timestamp>", the reading's base
+    fields, its ``extra`` values and a ``derived`` map: timestamp_sec
+    (alias of the timestamp), time_diff_sec (cadence delta within a
+    fridge, 0.0 at each fridge's first reading), air_on_diff and
+    air_off_diff (temperature change since the previous reading of the
+    same fridge, 0.0 at its first reading), targetTemp_on/off (the
+    setpoints) and targetTemp_on_diff/off_diff (measured minus setpoint).
+    Readings must be sorted by (fridge_id, timestamp), so a reading's
+    in-fridge predecessor is the row before it when that has the same
+    fridge id; the first reading of the batch has none, whatever the store
+    already holds. A timestamp must be an int or a float (not a bool);
+    anything else raises TypeError, as the wrangle stage's read would.
 
     The result is exactly what ``encode_documents`` makes of those
     documents, with the same UnsortedInput, DuplicateId and non-finite
     ValueError, but no document is built: see the module docstring.
     """
-    stamps = [r.timestamp for r in records]
-    check_timestamps((r.fridge_id for r in records), stamps)
-    check_sorted(records)
-    on = [r.air_on_temperature for r in records]
-    off = [r.air_off_temperature for r in records]
-    bounds = [0, *itertools.accumulate(
-        sum(1 for _ in group) for _, group in itertools.groupby(r.fridge_id for r in records))]
-    time_diff, on_diff, off_diff = (_deltas(column, bounds) for column in (stamps, on, off))
+    stamps, fridge_ids, on, off = (readings.timestamps, readings.fridge_ids,
+                                   readings.air_on, readings.air_off)
+    check_timestamps(fridge_ids, stamps)
+    check_sorted(fridge_ids, stamps)
+    fridges = runs(fridge_ids)
+    time_diff, on_diff, off_diff = (_deltas(column, fridges) for column in (stamps, on, off))
     on_sp = [value - setpoints.on for value in on]
     off_sp = [value - setpoints.off for value in off]
     # Each line's per-row values in the stored key order up to
-    # time_diff_sec; the timestamp, the run's extras and the timestamp
-    # again follow.
-    columns = [off, on, [r.defrost_state for r in records], off_diff, on_diff, off_sp, on_sp,
-               time_diff]
+    # time_diff_sec; the timestamp, the extras and the timestamp again
+    # follow.
+    columns = [off, on, readings.defrost, off_diff, on_diff, off_sp, on_sp, time_diff]
+    names = sorted(readings.extra)
+    extras = [readings.extra[name] for name in names]
     setpoint_texts = _texts([setpoints.off, setpoints.on])
     finite = _NON_FINITE.isdisjoint(setpoint_texts)
 
     ids, lines = [], []
-    lo = 0
-    for (fridge_id, store_id, names), run in itertools.groupby(
-            (r.fridge_id, r.store_id, tuple(r.extra)) for r in records):
-        hi = lo + sum(1 for _ in run)
-        names = sorted(names)
-        prefix = f"{fridge_id}:"
-        template = _line_template(prefix, fridge_id, store_id, names, setpoint_texts)
+    for lo, hi in runs(list(zip(fridge_ids, readings.store_ids))):
+        prefix = f"{fridge_ids[lo]}:"
+        template = _line_template(prefix, fridge_ids[lo], readings.store_ids[lo], names,
+                                  setpoint_texts)
         for start in range(lo, hi, _CHUNK):
             end = min(start + _CHUNK, hi)
             texts = [_texts(column[start:end]) for column in columns]
             stamp_texts = _texts(stamps[start:end])
-            extras = [_texts([r.extra[name] for r in records[start:end]]) for name in names]
+            extra_texts = [_texts(column[start:end]) for column in extras]
             finite = finite and _NON_FINITE.isdisjoint(
-                itertools.chain(*texts, stamp_texts, *extras))
+                itertools.chain(*texts, stamp_texts, *extra_texts))
             ids += [prefix + text for text in stamp_texts]
             lines += map(template.__mod__,
-                         zip(stamp_texts, *texts, stamp_texts, *extras, stamp_texts))
-        lo = hi
+                         zip(stamp_texts, *texts, stamp_texts, *extra_texts, stamp_texts))
 
     repeat = _first_repeat(ids)
     if not finite:
         for i in range(len(ids) if repeat is None else repeat):
-            r = records[i]
-            for value in (off[i], on[i], r.defrost_state, off_diff[i], on_diff[i],
+            for value in (off[i], on[i], readings.defrost[i], off_diff[i], on_diff[i],
                           setpoints.off, off_sp[i], setpoints.on, on_sp[i], time_diff[i],
-                          stamps[i], *(r.extra[name] for name in sorted(r.extra))):
+                          stamps[i], *(column[i] for column in extras)):
                 if isinstance(value, float) and not math.isfinite(value):
                     canonical_dumps(value)  # json's own ValueError
     if repeat is not None:
@@ -306,11 +318,11 @@ def _texts(values: list) -> list[str]:
     return [float.__repr__(v) if isinstance(v, float) else canonical_dumps(v) for v in values]
 
 
-def _deltas(column: list, bounds: list[int]) -> list:
+def _deltas(column: list, fridges: list[tuple[int, int]]) -> list:
     """Each value minus the one before it, 0.0 at each fridge's first
-    reading; fridge k's readings are ``column[bounds[k]:bounds[k + 1]]``."""
+    reading; each fridge's readings are ``column[lo:hi]``."""
     out = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in fridges:
         out.append(0.0)
         out += map(operator.sub, column[lo + 1:hi], column[lo:hi - 1])
     return out

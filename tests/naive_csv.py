@@ -1,15 +1,52 @@
-"""Naive reference for CSV ingestion.
+"""Naive reference for CSV ingestion, with its own per-row form.
 
-The parser telemetry ingest used before it resolved column positions once:
-it looks every required cell up by name, through a per-row lambda and the
-schema's column map. Used as the oracle in the parser equivalence test.
+The parser telemetry ingest used before it resolved column positions once
+and kept readings as columns: it looks every required cell up by name,
+through a per-row lambda and the schema's column map, and builds one
+:class:`Row` per reading. Used as the oracle in the parser equivalence
+test; :func:`rows_of` and :func:`readings_of` convert between its rows and
+the program's :class:`~coldflow.telemetry.Readings`.
 """
 
 import csv
 import io
 import math
+from dataclasses import dataclass, field
 
-from coldflow.telemetry import CsvSchema, MissingColumn, RejectedRow, TelemetryRecord
+from coldflow.telemetry import CsvSchema, MissingColumn, Readings, RejectedRow
+
+
+@dataclass
+class Row:
+    """One reading: its base fields and a map of its extra channels."""
+
+    timestamp: float
+    fridge_id: str
+    air_on_temperature: float
+    air_off_temperature: float
+    defrost_state: int
+    store_id: str | None = None
+    extra: dict = field(default_factory=dict)
+
+
+def rows_of(readings: Readings) -> list[Row]:
+    """One Row per reading of a batch."""
+    names = list(readings.extra)
+    return [Row(ts, fid, on, off, defrost, store, dict(zip(names, values)))
+            for ts, fid, store, on, off, defrost, *values in zip(
+                readings.timestamps, readings.fridge_ids, readings.store_ids,
+                readings.air_on, readings.air_off, readings.defrost,
+                *readings.extra.values())]
+
+
+def readings_of(rows: list[Row]) -> Readings:
+    """The batch holding ``rows``, which must share one set of extra names."""
+    names = list(rows[0].extra) if rows else []
+    assert all(r.extra.keys() == set(names) for r in rows), "rows differ in extra names"
+    return Readings([r.timestamp for r in rows], [r.fridge_id for r in rows],
+                    [r.store_id for r in rows], [r.air_on_temperature for r in rows],
+                    [r.air_off_temperature for r in rows], [r.defrost_state for r in rows],
+                    {name: [r.extra[name] for r in rows] for name in names})
 
 
 def _parse_float(text: str) -> float:
@@ -20,9 +57,9 @@ def _parse_float(text: str) -> float:
 
 
 def parse_telemetry_csv(text: str, schema: CsvSchema):
-    """Parse CSV text into records plus per-row rejects.
+    """Parse CSV text into rows plus per-row rejects.
 
-    Returns ``(records, rejects)``. Unparseable required fields reject the
+    Returns ``(rows, rejects)``. Unparseable required fields reject the
     whole row with its 1-based data-row number (header not counted); other
     rows are unaffected. Raises MissingColumn when a required mapped column
     is missing from the header entirely.
@@ -51,7 +88,7 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
     mapped = {column for column in schema.columns.values()}
     extra_columns = [name for name in header if name not in mapped]
 
-    records: list[TelemetryRecord] = []
+    records: list[Row] = []
     rejects: list[RejectedRow] = []
     for row_no, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -88,7 +125,7 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
             except ValueError:
                 extra[name] = raw
         records.append(
-            TelemetryRecord(
+            Row(
                 timestamp=timestamp,
                 fridge_id=fridge_id,
                 store_id=store_id,

@@ -107,9 +107,9 @@ def dsr(tmp_path_factory):
     t0 = time.monotonic()
     per_event = {}
     lead0_examples = 0
-    for spec, records in simulate_fleet(sim):
+    for spec, readings in simulate_fleet(sim):
         docs = [parse_document_line(line)
-                for line in derive_features(records, midband_setpoints(spec)).lines]
+                for line in derive_features(readings, midband_setpoints(spec)).lines]
         series = fridge_series([document_columns(docs, WINDOW_FEATURES)],
                                WINDOW_FEATURES)[spec.fridge_id]
         examples, _ = extract_defrost_examples(series, window_len=32, threshold=8.0)
@@ -206,9 +206,9 @@ def fault(tmp_path_factory):
     plans = plan_faults(specs, sim, 180, FAULT_SEED)
     orders = workorders_for_plans(plans, specs, FAULT_SEED, noise_orders=10)
     series = {}
-    for spec, recs in simulate_fleet(sim, fault_plans=plans):
+    for spec, readings in simulate_fleet(sim, fault_plans=plans):
         fridge_docs = [parse_document_line(line)
-                       for line in derive_features(recs, midband_setpoints(spec)).lines]
+                       for line in derive_features(readings, midband_setpoints(spec)).lines]
         series.update(fridge_series([document_columns(fridge_docs, WINDOW_FEATURES)],
                                     WINDOW_FEATURES))
 
@@ -336,15 +336,15 @@ def test_criterion_06_durations_match_closed_form():
     worst = 0.0
     checked = 0
     for spec in fleet_specs(config):
-        records = simulate_fridge(spec, config)
-        flags = [r.defrost_state for r in records]
+        readings = simulate_fridge(spec, config)
+        flags = readings.defrost
         start = flags.index(1)
         end = start
         while end < len(flags) and flags[end] == 1:
             end += 1
         assert end < len(flags), f"{spec.fridge_id}: defrost never completed"
         duration = (end - start) * config.cadence_s
-        expected = true_time_to_threshold(spec, records[start].air_on_temperature)
+        expected = true_time_to_threshold(spec, readings.air_on[start])
         worst = max(worst, abs(duration - expected))
         checked += 1
     _verdict(6, checked == 1000 and worst <= config.cadence_s,

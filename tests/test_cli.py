@@ -6,11 +6,14 @@ import multiprocessing
 import os
 
 import pytest
+from naive_csv import rows_of
 from test_telemetry import documents_through_derived_records
 
 from coldflow.cli import DEFAULT_TARGET_OFF, DEFAULT_TARGET_ON, main
 from coldflow.docstore import canonical_dumps, open_store
 from coldflow.fridgesim import FLEET_CSV_SCHEMA, WORKORDER_PATTERNS
+from coldflow.pipelines import simulate_into_store
+from coldflow.runconfig import load_config
 from coldflow.telemetry import Setpoints, parse_telemetry_csv
 
 
@@ -128,6 +131,60 @@ def test_simulate_ingest_csv_round_trip(tmp_path, capsys):
     assert "ingested 0 telemetry records" in capsys.readouterr().out
 
 
+def test_simulating_into_the_store_matches_simulate_then_ingest(tmp_path, capsys):
+    # A small faulted fleet with unrelated work orders, stored both ways.
+    path = write_config(tmp_path, extra={
+        "simulate": {"n_fridges": 3, "days": 4,
+                     "faults": {"count": 2, "noise_workorders": 2}}})
+    with open_store(str(tmp_path / "direct")) as store:
+        summary = simulate_into_store(store, load_config(path))
+    assert summary["faults"] == 2
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "csv")]) == 0
+    assert main(["ingest", "--config", path, "--store", str(tmp_path / "via-csv"),
+                 "--from", str(tmp_path / "csv")]) == 0
+    assert f"ingested {summary['records']} telemetry records and 4 work orders" \
+        in capsys.readouterr().out
+    for name in ("telemetry.ndjson", "fridge_ratings.ndjson", "workorders.ndjson"):
+        direct = (tmp_path / "direct" / name).read_bytes()
+        assert direct
+        assert (tmp_path / "via-csv" / name).read_bytes() == direct
+
+
+@pytest.mark.parametrize("name, content, entry", [
+    ("setpoints.json", {"F0": [True, 1]}, "'F0' is [true, 1]"),
+    ("setpoints.json", {"F1": [4.0, 1.0], "F0": [4.0]}, "'F0' is [4.0]"),
+    ("setpoints.json", {"F0": [4.0, "1.5"]}, "'F0' is [4.0, \"1.5\"]"),
+    ("setpoints.json", {"F0": [float("nan"), 1.0]}, "'F0' is [NaN, 1.0]"),
+    ("setpoints.json", [[4.0, 1.0]], "expected a JSON dict"),
+    ("workorders.json", [["store S000 fridge F0 icepack fault", "1500086400"]],
+     "0 is [\"store S000 fridge F0 icepack fault\", \"1500086400\"]"),
+    ("workorders.json", [["mop", 1.0], [7, 2.0]], "1 is [7, 2.0]"),
+    ("workorders.json", [["mop", 1.0], ["leak", False]], "1 is [\"leak\", false]"),
+    ("workorders.json", [["mop", float("inf")]], "0 is [\"mop\", Infinity]"),
+    ("workorders.json", {"mop": 1.0}, "expected a JSON list"),
+])
+def test_ingest_refuses_a_bad_sidecar_before_storing_anything(tmp_path, capsys, name,
+                                                              content, entry):
+    data = csv_fleet(tmp_path)
+    (data / name).write_text(json.dumps(content))
+    code, store = ingest_at_width(tmp_path, data, 1)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(data / name) in err and entry in err
+    assert not any(store.glob("*.ndjson"))
+
+
+def test_ingest_keeps_int_setpoints_and_timestamps_as_ints(tmp_path, capsys):
+    data = csv_fleet(tmp_path)
+    (data / "setpoints.json").write_text(json.dumps({"F0": [4, 1]}))
+    (data / "workorders.json").write_text(json.dumps([["mop", 1500000000]]))
+    code, store = ingest_at_width(tmp_path, data, 1)
+    assert code == 0
+    telemetry = (store / "telemetry.ndjson").read_text()
+    assert '"targetTemp_off":1,' in telemetry and '"targetTemp_on":4,' in telemetry
+    assert '"timestamp":1500000000}' in (store / "workorders.ndjson").read_text()
+
+
 def test_store_path_env_honored(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path)
     monkeypatch.setenv("STORE_PATH", str(tmp_path / "env_store"))
@@ -181,8 +238,8 @@ def reference_telemetry(data) -> bytes:
     sidecar = json.loads((data / "setpoints.json").read_text())
     lines = []
     for path in sorted((data / "telemetry").glob("*.csv")):
-        records, _ = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
-        for fid, group in itertools.groupby(records, key=lambda r: r.fridge_id):
+        readings, _ = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+        for fid, group in itertools.groupby(rows_of(readings), key=lambda r: r.fridge_id):
             setpoints = Setpoints(*sidecar.get(fid, (DEFAULT_TARGET_ON, DEFAULT_TARGET_OFF)))
             lines += [canonical_dumps(doc) + "\n"
                       for doc in documents_through_derived_records(list(group), setpoints)]

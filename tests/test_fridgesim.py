@@ -46,8 +46,8 @@ def make_spec(**overrides) -> FridgeSpec:
     return FridgeSpec(**base)
 
 
-def rising_edges(records):
-    flags = [r.defrost_state for r in records]
+def rising_edges(readings):
+    flags = readings.defrost
     edges = [i for i in range(1, len(flags)) if flags[i] == 1 and flags[i - 1] == 0]
     if flags and flags[0] == 1:
         edges.insert(0, 0)
@@ -81,23 +81,25 @@ def test_simulation_is_deterministic():
 def test_noise_free_band_and_defrost_cadence():
     config = noise_free(SimConfig(days=3.0))
     spec = make_spec()
-    records = simulate_fridge(spec, config)
-    assert len(records) == 3 * 1440
+    readings = simulate_fridge(spec, config)
+    assert len(readings) == 3 * 1440
+    assert readings.fridge_ids == [spec.fridge_id] * len(readings)
+    assert readings.store_ids == [spec.store_id] * len(readings)
 
-    temps = [r.air_on_temperature for r in records]
+    temps = readings.air_on
     warm_step = config.cadence_s * spec.k_warm * (spec.t_ambient - spec.t_set_low)
     assert min(temps) >= spec.t_set_low - 1e-9
     assert max(temps) <= spec.threshold_temp + warm_step + 1e-9
 
     # 4 defrosts per day, phase-locked to the timer grid.
-    edges = rising_edges(records)
+    edges = rising_edges(readings)
     assert len(edges) == 12
     assert all((e - 30) % 360 == 0 for e in edges)
 
     # Spread bookkeeping: off-coil air is colder when cooling, hotter in defrost.
-    for rec in records:
-        gap = rec.air_on_temperature - rec.air_off_temperature
-        if rec.defrost_state:
+    for on, off, defrost in zip(readings.air_on, readings.air_off, readings.defrost):
+        gap = on - off
+        if defrost:
             assert gap == pytest.approx(-spec.spread)
         else:
             assert gap == pytest.approx(spec.spread) or gap == pytest.approx(0.2 * spec.spread)
@@ -106,9 +108,9 @@ def test_noise_free_band_and_defrost_cadence():
 def test_defrost_durations_match_closed_form():
     config = noise_free(SimConfig(days=2.0))
     spec = make_spec()
-    records = simulate_fridge(spec, config)
-    flags = [r.defrost_state for r in records]
-    edges = rising_edges(records)
+    readings = simulate_fridge(spec, config)
+    flags = readings.defrost
+    edges = rising_edges(readings)
     assert edges
     for start in edges:
         end = start
@@ -116,7 +118,7 @@ def test_defrost_durations_match_closed_form():
             end += 1
         assert end < len(flags)
         duration = (end - start) * config.cadence_s
-        expected = true_time_to_threshold(spec, records[start].air_on_temperature)
+        expected = true_time_to_threshold(spec, readings.air_on[start])
         assert abs(duration - expected) <= config.cadence_s
 
 
@@ -129,13 +131,13 @@ def test_true_time_to_threshold_guards():
 
 def test_realistic_noise_stays_physical():
     config = SimConfig(days=1.0, n_fridges=3, seed=11)
-    for spec, records in simulate_fleet(config):
-        temps = np.array([r.air_on_temperature for r in records])
+    for spec, readings in simulate_fleet(config):
+        temps = np.array(readings.air_on)
         assert temps.min() > spec.t_set_low - 2.0
         assert temps.max() < spec.threshold_temp + 2.0
-        powers = {r.extra["power_kw"] for r in records}
-        assert powers <= {0.0, spec.power_kw}
-        assert len(rising_edges(records)) == 4
+        assert list(readings.extra) == ["power_kw"]
+        assert set(readings.extra["power_kw"]) <= {0.0, spec.power_kw}
+        assert len(rising_edges(readings)) == 4
 
 
 def test_fault_plan_ramps_and_truncates():
@@ -149,15 +151,17 @@ def test_fault_plan_ramps_and_truncates():
     healthy = simulate_fridge(spec, config)
     faulted = simulate_fridge(spec, config, fault=fault)
 
-    assert faulted[-1].timestamp < fault.fault_ts
+    assert faulted.timestamps[-1] < fault.fault_ts
     assert len(faulted) == 3 * 1440
 
     ramp_start = fault.fault_ts - fault.ramp_seconds
     n_prefix = int((ramp_start - config.start_ts) / config.cadence_s) + 1
+    # Every column, extras included, matches bit for bit up to the ramp.
     assert faulted[:n_prefix] == healthy[:n_prefix]
+    assert faulted.air_on[n_prefix:] != healthy.air_on[n_prefix:len(faulted)]
 
-    late = np.array([r.air_on_temperature for r in faulted[-720:]])
-    base = np.array([r.air_on_temperature for r in healthy[len(faulted) - 720:len(faulted)]])
+    late = np.array(faulted.air_on[-720:])
+    base = np.array(healthy.air_on[len(faulted) - 720:len(faulted)])
     assert np.abs(late - base).max() > 0.3
 
 
@@ -191,9 +195,9 @@ def test_plan_faults_and_workorders():
 def test_csv_round_trip_is_exact(tmp_path):
     config = SimConfig(days=0.05, n_fridges=1, seed=13)
     spec = fleet_specs(config)[0]
-    records = simulate_fridge(spec, config)
+    readings = simulate_fridge(spec, config)
     path = tmp_path / "fleet.csv"
-    write_telemetry_csv(records, path)
+    write_telemetry_csv(readings, path)
     parsed, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
     assert rejects == []
-    assert parsed == records
+    assert parsed == readings

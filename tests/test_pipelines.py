@@ -17,7 +17,7 @@ from coldflow.pipelines import (
     select_candidates,
 )
 from coldflow.runconfig import validate_config
-from coldflow.telemetry import Setpoints, TelemetryRecord
+from coldflow.telemetry import Readings, Setpoints
 from coldflow.wrangler import document_columns, fridge_series
 
 
@@ -73,16 +73,21 @@ def test_ingest_workorders_orders_by_timestamp(tmp_path):
         assert by_id["wo:000001"]["raw_text"] == "late"
 
 
+def sawtooth_readings(fridge, n, store_ids, extra=None):
+    """``n`` readings a minute apart, with temperatures and a defrost flag
+    that cycle."""
+    return Readings([60.0 * i for i in range(n)], [fridge] * n, store_ids,
+                    [3.0 + 0.1 * (i % 7) for i in range(n)],
+                    [1.0 - 0.05 * (i % 5) for i in range(n)],
+                    [int(i % 20 >= 17) for i in range(n)], extra or {})
+
+
 def test_telemetry_blocks_sort_out_of_order_batches(tmp_path):
     # Fridge F0 arrives in two batches, the later readings first, after F1.
     # Its block still runs forwards in time with the same base features as
     # a one-batch ingest, and blocks come in sorted fridge-id order.
     def readings(fridge):
-        return [TelemetryRecord(timestamp=60.0 * i, fridge_id=fridge, store_id="S0",
-                                air_on_temperature=3.0 + 0.1 * (i % 7),
-                                air_off_temperature=1.0 - 0.05 * (i % 5),
-                                defrost_state=int(i % 20 >= 17))
-                for i in range(40)]
+        return sawtooth_readings(fridge, 40, ["S0"] * 40)
 
     setpoints = Setpoints(3.0, 1.0)
     names = ("timestamp", "air_on_temperature", "air_off_temperature", "defrost_state")
@@ -97,7 +102,7 @@ def test_telemetry_blocks_sort_out_of_order_batches(tmp_path):
         blocks = pipelines.telemetry_blocks(store, names)
     assert list(blocks) == ["F0", "F1"]
     got = blocks["F0"]
-    assert got.timestamps.tolist() == [r.timestamp for r in f0]
+    assert got.timestamps.tolist() == f0.timestamps
     assert got.features.tobytes() == want.features.tobytes()
     assert got.defrost.tobytes() == want.defrost.tobytes()
     assert got.store_ids == want.store_ids
@@ -165,11 +170,8 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
     setpoints = Setpoints(3.0, 1.0)
     with open_store(str(tmp_path / "s")) as store:
         for fid in ("F2", "F0", "F10", "F1"):
-            records = [TelemetryRecord(timestamp=60.0 * i, fridge_id=fid, store_id=f"S{i % 3}",
-                                       air_on_temperature=3.0 + 0.1 * (i % 7),
-                                       air_off_temperature=1.0 - 0.05 * (i % 5),
-                                       defrost_state=int(i % 20 >= 17), extra={"power_kw": i % 4})
-                       for i in range(60)]
+            records = sawtooth_readings(fid, 60, [f"S{i % 3}" for i in range(60)],
+                                        {"power_kw": [i % 4 for i in range(60)]})
             pipelines.ingest_records(store, records[30:], setpoints)
             pipelines.ingest_records(store, records[:30], setpoints)
         ints = [0, 60, 30, 45, 15, 0, 30]
@@ -395,13 +397,12 @@ SETPOINTS = Setpoints(3.0, 1.0)
 
 
 def power_readings(fridge, power, start=0):
-    """One reading per minute from ``start``, power_kw from the list
-    (None leaves the reading without one)."""
-    return [TelemetryRecord(timestamp=60.0 * (start + i), fridge_id=fridge,
-                            store_id="S0", air_on_temperature=3.0,
-                            air_off_temperature=1.0, defrost_state=0,
-                            extra={} if kw is None else {"power_kw": kw})
-            for i, kw in enumerate(power)]
+    """One reading per minute from ``start``, power_kw from the list; a
+    list of None gives readings without a power channel."""
+    n = len(power)
+    extra = {} if power == [None] * n else {"power_kw": list(power)}
+    return Readings([60.0 * (start + i) for i in range(n)], [fridge] * n, ["S0"] * n,
+                    [3.0] * n, [1.0] * n, [0] * n, extra)
 
 
 def predict(store, *fridges):
@@ -469,12 +470,15 @@ def test_select_dsr_never_parses_telemetry(tmp_path):
 
 def test_select_dsr_fridge_without_numeric_power_is_zero_kw(tmp_path):
     with open_store(str(tmp_path / "s")) as store:
-        # No power channel, a text value and a bool: none is a number.
-        pipelines.ingest_records(store, power_readings("F0", [None, "n/a", True]),
+        # No power channel, then an empty cell, a text value and a bool:
+        # none is a number.
+        pipelines.ingest_records(store, power_readings("F0", [None]), SETPOINTS)
+        pipelines.ingest_records(store, power_readings("F0", ["", "n/a", True], start=1),
                                  SETPOINTS)
         pipelines.ingest_records(store, power_readings("F1", [2.0]), SETPOINTS)
         predict(store, "F0", "F1")
-        assert store.find_all("fridge_ratings")[0]["peak_power_kw"] is None
+        assert [d["peak_power_kw"] for d in store.find_all("fridge_ratings")
+                if d["fridge_id"] == "F0"] == [None, None]
         assert chosen_power(store) == {"F0": 0.0, "F1": 2.0}
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import naive_csv
+from naive_csv import Row, readings_of, rows_of
 
 from coldflow.docstore import (
     DuplicateId,
@@ -20,7 +21,6 @@ from coldflow.telemetry import (
     CsvSchema,
     MissingColumn,
     Setpoints,
-    TelemetryRecord,
     UnsortedInput,
     derive_features,
     parse_telemetry_csv,
@@ -46,19 +46,26 @@ BARN_SCHEMA = CsvSchema(
 
 
 def test_parse_single_unit_dump():
-    records, rejects = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
+    readings, rejects = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
     assert rejects == []
-    assert len(records) == 3
-    first = records[0]
-    assert first.timestamp == 1488990480.0
-    assert first.air_on_temperature == 3.8
-    assert first.air_off_temperature == 1.7
-    assert first.defrost_state == 0
-    assert first.fridge_id == "barn1"
-    # Unmapped channels ride along untouched.
-    assert first.extra["Def"] == 17.2
-    assert first.extra["foodTmp"] == 3.8
-    assert records[2].defrost_state == 1
+    assert len(readings) == 3
+    assert readings.timestamps[0] == 1488990480.0
+    assert readings.air_on[0] == 3.8
+    assert readings.air_off[0] == 1.7
+    assert readings.defrost == [0, 0, 1]
+    assert readings.fridge_ids == ["barn1"] * 3
+    assert readings.store_ids == [None] * 3
+    # Unmapped channels ride along untouched, in header order.
+    assert list(readings.extra) == ["foodTmp", "shelfTmp", "Def"]
+    assert readings.extra["Def"] == [17.2, 17.2, 17.3]
+    assert readings.extra["foodTmp"][0] == 3.8
+
+
+def test_parse_rejects_a_header_that_names_a_column_twice():
+    for header in ("TimeStamp,air_on,air_on,air_off,Def1",
+                   "TimeStamp,air_on,air_off,Def1,power_kw,power_kw"):
+        with pytest.raises(MissingColumn, match="column '(air_on|power_kw)' appears twice"):
+            parse_telemetry_csv(header + "\n1.0,3.0,9.0,1.0,0,2.0\n", BARN_SCHEMA)
 
 
 def test_bad_required_field_rejects_that_row_only():
@@ -67,8 +74,8 @@ def test_bad_required_field_rejects_that_row_only():
         columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
                  "defrost": "d", "fridge_id": "f"}
     )
-    records, rejects = parse_telemetry_csv(csv_text, schema)
-    assert len(records) == 1
+    readings, rejects = parse_telemetry_csv(csv_text, schema)
+    assert len(readings) == 1
     assert len(rejects) == 1
     assert rejects[0].row == 2
     assert "abc" in rejects[0].reason or "could not convert" in rejects[0].reason
@@ -80,8 +87,8 @@ def test_defrost_flag_must_be_binary():
         columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
                  "defrost": "d", "fridge_id": "f"}
     )
-    records, rejects = parse_telemetry_csv(csv_text, schema)
-    assert records == []
+    readings, rejects = parse_telemetry_csv(csv_text, schema)
+    assert len(readings) == 0
     assert rejects[0].row == 1
 
 
@@ -169,11 +176,12 @@ def test_parser_matches_naive_reference(case):
     reasons = set()
     for seed in range(5):
         text = _csv_corpus(random.Random(f"{case}:{seed}"), header)
-        records, rejects = parse_telemetry_csv(text, schema)
-        want_records, want_rejects = naive_csv.parse_telemetry_csv(text, schema)
-        assert records == want_records
+        readings, rejects = parse_telemetry_csv(text, schema)
+        want_rows, want_rejects = naive_csv.parse_telemetry_csv(text, schema)
+        assert rows_of(readings) == want_rows
+        assert readings == readings_of(want_rows)
         assert rejects == want_rejects
-        assert records and rejects
+        assert want_rows and rejects
         reasons.update(r.reason.split(" ")[0] for r in rejects)
     # Each kind of reject came up: unparseable, non-finite, bad defrost
     # flag, short row, and (with a fridge column) an empty fridge id.
@@ -184,26 +192,24 @@ def test_parser_matches_naive_reference(case):
 def test_parser_keeps_check_order_and_defaults():
     schema = CORPUS_SCHEMAS[1][1]
     text = "ts,on,off,d,probe\n1,nan,abc,2,x\n2,1,abc,0.5,x\n3,1,1,2,\n4,1,1,1,y\n"
-    records, rejects = parse_telemetry_csv(text, schema)
+    readings, rejects = parse_telemetry_csv(text, schema)
     assert [r.reason for r in rejects] == [
         "non-finite value 'nan'",
         "could not convert string to float: 'abc'",
         "defrost flag 2.0 not in {0, 1}",
     ]
-    (only,) = records
+    (only,) = rows_of(readings)
     assert (only.fridge_id, only.store_id, only.extra) == ("17", "S9", {"probe": "y"})
 
 
 def rec(fridge, ts, on=3.0, off=1.0, defrost=0):
-    return TelemetryRecord(
-        timestamp=float(ts), fridge_id=fridge, air_on_temperature=float(on),
-        air_off_temperature=float(off), defrost_state=defrost,
-    )
+    return Row(timestamp=float(ts), fridge_id=fridge, air_on_temperature=float(on),
+               air_off_temperature=float(off), defrost_state=defrost)
 
 
 def test_derive_features_values():
-    records = [rec("a", 0, on=3.8, off=1.7), rec("a", 60, on=4.0, off=1.9),
-               rec("b", 30, on=2.0, off=0.5)]
+    records = readings_of([rec("a", 0, on=3.8, off=1.7), rec("a", 60, on=4.0, off=1.9),
+                           rec("b", 30, on=2.0, off=0.5)])
     before = copy.deepcopy(records)
     out = [parse_document_line(line)["derived"]
            for line in derive_features(records, Setpoints(on=3.0, off=1.0)).lines]
@@ -224,25 +230,26 @@ def test_derive_features_values():
 
 
 def test_derive_features_requires_sorted_input():
-    records = [rec("a", 60), rec("a", 0)]
-    with pytest.raises(UnsortedInput):
+    records = readings_of([rec("a", 0), rec("a", 60), rec("a", 30)])
+    with pytest.raises(UnsortedInput, match=r"out of order near fridge 'a' t=30\.0$"):
         derive_features(records, Setpoints(3.0, 1.0))
-    with pytest.raises(UnsortedInput):
-        derive_features([rec("b", 0), rec("a", 0)], Setpoints(3.0, 1.0))
+    with pytest.raises(UnsortedInput, match=r"near fridge 'a' t=0\.0$"):
+        derive_features(readings_of([rec("b", 0), rec("a", 0)]), Setpoints(3.0, 1.0))
 
 
 @pytest.mark.parametrize("stamp", [True, "60", None])
 def test_derive_features_rejects_a_timestamp_that_is_not_a_number(stamp):
-    records = [rec("a", 0), rec("a", 60), rec("a", 120)]
-    records[1].timestamp = stamp
+    records = readings_of([rec("a", 0), rec("a", 60), rec("a", 120)])
+    records.timestamps[1] = stamp
     with pytest.raises(TypeError, match=f"fridge 'a': timestamp {stamp!r} is not a number"):
         derive_features(records, Setpoints(3.0, 1.0))
 
 
 def documents_through_derived_records(records, setpoints):
-    """The former ingest path, kept as the reference: one pass built new
-    records carrying a derived map, each predecessor looked up in a
-    per-fridge dict, and a second pass mapped every record to a document."""
+    """The former ingest path, kept as the reference: over one
+    :class:`naive_csv.Row` per reading, one pass built new records
+    carrying a derived map, each predecessor looked up in a per-fridge
+    dict, and a second pass mapped every record to a document."""
     derived_records = []
     prev_by_fridge = {}
     for r in records:
@@ -282,17 +289,18 @@ def test_derive_features_matches_the_derived_record_path():
     # a multi-fridge CSV with numeric and text extra columns.
     sim = SimConfig(n_fridges=3, days=3.5, seed=11)
     plans = plan_faults(fleet_specs(sim), sim, 2, 11)
-    simulated = [r for _, recs in simulate_fleet(sim, fault_plans=plans) for r in recs]
+    simulated = [r for _, readings in simulate_fleet(sim, fault_plans=plans)
+                 for r in rows_of(readings)]
     header, schema = CORPUS_SCHEMAS[0]
     parsed, _ = parse_telemetry_csv(_csv_corpus(random.Random(3), header), schema)
-    parsed.sort(key=lambda r: (r.fridge_id, r.timestamp))
+    parsed = sorted(rows_of(parsed), key=lambda r: (r.fridge_id, r.timestamp))
     # The corpus repeats timestamps, and a repeated _id is refused as
     # encode_documents refuses it: keep the first reading of each.
     parsed = [next(group) for _, group in
               itertools.groupby(parsed, key=lambda r: (r.fridge_id, r.timestamp))]
     assert any(isinstance(r.extra["note"], str) for r in parsed)
     for records, setpoints in ((simulated, Setpoints(3.2, 1.1)), (parsed, Setpoints(3.0, 1.0))):
-        got = derive_features(records, setpoints)
+        got = derive_features(readings_of(records), setpoints)
         want = documents_through_derived_records(records, setpoints)
         assert len({d["fridge_id"] for d in want}) >= 3
         assert len(got) == len(want)
@@ -301,42 +309,48 @@ def test_derive_features_matches_the_derived_record_path():
 
 
 def reading(fridge, ts, on=3.0, off=1.0, defrost=0, store=None, extra=None):
-    return TelemetryRecord(timestamp=ts, fridge_id=fridge, air_on_temperature=on,
-                           air_off_temperature=off, defrost_state=defrost,
-                           store_id=store, extra=extra or {})
+    return Row(timestamp=ts, fridge_id=fridge, air_on_temperature=on,
+               air_off_temperature=off, defrost_state=defrost, store_id=store,
+               extra=extra or {})
+
+
+def flags(z, a, door, n):
+    return {"z": z, "a": a, "door": door, "n": n}
 
 
 # Batches whose lines hold what a per-reading template could get wrong:
-# quotes, a non-ASCII character and a % in ids, a null store id, empty and
-# missing extra cells, bool and int extras, int timestamps, signed zeros,
-# the largest and smallest floats, and several fridges, each restarting its
-# deltas.
+# quotes, a non-ASCII character and a % in ids, a null store id, an empty
+# extra cell, bool and int extras, int timestamps, signed zeros, the
+# largest and smallest floats, and several fridges, each restarting its
+# deltas. Every reading of a batch carries the same extra names.
 EDGE_BATCHES = [
     [reading('caf\u00e9 "7"', -0.0, on=-0.0, off=5e-324, store=None,
              extra={"note": "", "p": 1e16}),
      reading('caf\u00e9 "7"', 5e-324, on=1e16, off=-5e-324, defrost=1, store="S\u00f8",
-             extra={"p": -0.0}),
+             extra={"p": -0.0, "note": "\u00e9t\u00e9"}),
      reading('caf\u00e9 "7"', 1e16, on=-1e16, off=1.5, store="S\u00f8",
              extra={"p": 2.0, "note": "door %s open"})],
-    [reading("a%d", 0.0, extra={"z": 1.0, "a": "", "door": True, "n": 3}),
-     reading("a%d", 60.0, on=4.25),
-     reading("b", 30, on=-2.5, off=0.1), reading("b", 90, on=7.0, off=0.3),
-     reading("b", 90.5, on=7.0, off=0.3),
-     reading("c", -60.0, store="S1")],
+    [reading("a%d", 0.0, extra=flags(1.0, "", True, 3)),
+     reading("a%d", 60.0, on=4.25, extra=flags(-0.0, "%", False, 0)),
+     reading("b", 30, on=-2.5, off=0.1, extra=flags(2, "x", True, -4)),
+     reading("b", 90, on=7.0, off=0.3, extra=flags(2.5, "", False, 10**20)),
+     reading("b", 90.5, on=7.0, off=0.3, extra=flags(1e16, '"q"', True, 1)),
+     reading("c", -60.0, store="S1", extra=flags(5e-324, "", False, 2))],
     [],
 ]
 
 
 @pytest.mark.parametrize("batch", range(len(EDGE_BATCHES)))
 def test_derive_features_writes_the_reference_lines_for_edge_values(batch):
-    records = EDGE_BATCHES[batch]
-    before = copy.deepcopy(records)
+    rows = EDGE_BATCHES[batch]
+    readings = readings_of(rows)
+    before = copy.deepcopy(readings)
     for setpoints in (Setpoints(3.0, 1.0), Setpoints(-0.0, 1e16)):
-        got = derive_features(records, setpoints)
-        want = documents_through_derived_records(records, setpoints)
+        got = derive_features(readings, setpoints)
+        want = documents_through_derived_records(rows, setpoints)
         assert got == encode_documents("telemetry", want)
         assert got.lines == [canonical_dumps(d) + "\n" for d in want]
-    assert records == before
+    assert readings == before
 
 
 def raised(call):
@@ -357,19 +371,20 @@ def raised(call):
      reading("b", 1.0, on=-1e308)],
 ])
 def test_derive_features_raises_what_encode_documents_raises(records):
-    before = copy.deepcopy(records)
+    readings = readings_of(records)
+    before = copy.deepcopy(readings)
     setpoints = Setpoints(3.0, 1.0)
-    got = raised(lambda: derive_features(records, setpoints))
+    got = raised(lambda: derive_features(readings, setpoints))
     want = raised(lambda: encode_documents(
         "telemetry", documents_through_derived_records(records, setpoints)))
     assert got == want
     assert got[0] in (DuplicateId, ValueError)
-    assert records == before
+    assert readings == before
 
 
 def test_document_roundtrip_identity(tmp_path):
-    records, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
-    encoded = derive_features(records, Setpoints(3.0, 1.0))
+    readings, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
+    encoded = derive_features(readings, Setpoints(3.0, 1.0))
     assert encoded.ids[0] == "barn1:1488990480.0"
     docs = [parse_document_line(line) for line in encoded.lines]
     with open_store(tmp_path / "s") as store:
@@ -377,6 +392,6 @@ def test_document_roundtrip_identity(tmp_path):
     with open_store(tmp_path / "s", read_only=True) as store:
         loaded = store.find_all("telemetry")
     assert loaded == docs
-    back = [TelemetryRecord(**{k: v for k, v in d.items() if k not in ("_id", "derived")})
+    back = [Row(**{k: v for k, v in d.items() if k not in ("_id", "derived")})
             for d in loaded]
-    assert back == records
+    assert back == rows_of(readings)
