@@ -39,7 +39,7 @@ import traceback
 from coldflow.docstore import open_store
 from coldflow.processes import in_order_on_processes
 from coldflow.runconfig import DEFAULT_POOL_WIDTH, ConfigError, load_config
-from coldflow.telemetry import Setpoints, parse_telemetry_csv, runs
+from coldflow.telemetry import MissingColumn, Setpoints, UnsortedInput, parse_telemetry_csv, runs
 
 # Nominal retail chill setpoints, used only when ingesting CSVs that
 # arrive without a setpoints sidecar; they land in provenance fields.
@@ -159,17 +159,21 @@ def _ingest_file(path: pathlib.Path, sidecar: dict, fallback: Setpoints):
 
     Returns the file's batches, one ``(encoded telemetry, ratings)`` pair
     per run of rows of one fridge, in file order, and its reject count.
-    Touches no store, so a worker process can run it.
+    Touches no store, so a worker process can run it. A bad header or
+    unsorted rows raise their own exception type, with the path in front.
     """
     from coldflow import pipelines
     from coldflow.fridgesim import FLEET_CSV_SCHEMA
 
-    readings, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
-    batches = []
-    for lo, hi in runs(readings.fridge_ids):
-        pair = sidecar.get(readings.fridge_ids[lo])
-        sp = Setpoints(on=pair[0], off=pair[1]) if pair else fallback
-        batches.append(pipelines.fridge_batch(readings[lo:hi], sp))
+    try:
+        readings, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+        batches = []
+        for lo, hi in runs(readings.fridge_ids):
+            pair = sidecar.get(readings.fridge_ids[lo])
+            sp = Setpoints(on=pair[0], off=pair[1]) if pair else fallback
+            batches.append(pipelines.fridge_batch(readings[lo:hi], sp))
+    except (MissingColumn, UnsortedInput) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return batches, len(rejects)
 
 

@@ -75,9 +75,6 @@ def parse_document_line(line: str, path: str = "<memory>", line_no: int = 0) -> 
     return doc
 
 
-_MISSING = object()
-
-
 def get_path(doc: Any, field_path: str):
     """Resolve a dotted field path against a document.
 

@@ -10,7 +10,6 @@ from coldflow.neural.cells import lstm_backward, lstm_forward, rnn_backward, rnn
 from coldflow.neural.losses import cce_loss, mae_loss, softmax
 from coldflow.neural.network import NetworkSpec, backward, forward, init_params
 from coldflow.neural.optim import (
-    AdamConfig,
     AdamState,
     adam_step,
     clip_gradients,
@@ -28,7 +27,6 @@ from coldflow.neural.training import (
 )
 
 __all__ = [
-    "AdamConfig",
     "AdamState",
     "DivergedLoss",
     "EpochStats",

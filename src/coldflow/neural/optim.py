@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam's published defaults (Kingma & Ba, 2015); only the learning rate is set.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class AdamState:
@@ -25,24 +21,22 @@ class AdamState:
         self.v = {name: np.zeros_like(value) for name, value in params.items()}
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, config: AdamConfig) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, learning_rate: float) -> None:
     """One bias-corrected Adam update, applied to params in place."""
     state.step += 1
     t = state.step
-    lr = config.learning_rate
-    b1, b2 = config.beta1, config.beta2
-    correction1 = 1.0 - b1**t
-    correction2 = 1.0 - b2**t
+    correction1 = 1.0 - BETA1**t
+    correction2 = 1.0 - BETA2**t
     for name, grad in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
         m_hat = m / correction1
         v_hat = v / correction2
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def global_norm(grads: dict) -> float:

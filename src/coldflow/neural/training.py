@@ -19,8 +19,11 @@ import numpy as np
 
 from coldflow.neural.losses import cce_loss, mae_loss, softmax
 from coldflow.neural.network import NetworkSpec, backward, forward, init_params
-from coldflow.neural.optim import AdamConfig, AdamState, adam_step, clip_gradients
+from coldflow.neural.optim import AdamState, adam_step, clip_gradients
 from coldflow.neural.serialize import ModelArtifact
+
+# Each step's gradients are scaled down to at most this global L2 norm.
+GRAD_CLIP_NORM = 5.0
 
 
 class DivergedLoss(Exception):
@@ -36,10 +39,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 30
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    grad_clip_norm: float = 5.0
     val_fraction: float = 0.1
     seed: int = 0
     meta: dict = field(default_factory=dict)
@@ -112,12 +111,6 @@ def train(X, y, config: TrainConfig) -> TrainResult:
     )
     params = init_params(spec, config.seed)
     adam = AdamState(params)
-    adam_config = AdamConfig(
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
     val_size = max(1, int(round(n * config.val_fraction)))
 
     history: list[EpochStats] = []
@@ -143,8 +136,8 @@ def train(X, y, config: TrainConfig) -> TrainResult:
             if not np.isfinite(loss):
                 raise DivergedLoss(f"epoch {epoch}: non-finite training loss")
             grads = backward(params, spec, cache, dout)
-            clip_gradients(grads, config.grad_clip_norm)
-            adam_step(params, grads, adam, adam_config)
+            clip_gradients(grads, GRAD_CLIP_NORM)
+            adam_step(params, grads, adam, config.learning_rate)
             loss_sum += loss * idx.size
             seen += idx.size
 

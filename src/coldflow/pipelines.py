@@ -15,8 +15,10 @@ order, so every collection file, the model files included, is
 byte-identical between the two runs.
 
 Tasks are exposed twice: as plain functions over an open store (library
-use, tests) and as builtins in REGISTRY for the stage orchestrator, which
-hands each task the store path and the validated config. The one
+use, tests) and as builtins in REGISTRY for the stage orchestrator. A
+builtin opens the store at its context's path, calls its task with the
+script's ``args`` (the validated config, or for learn and infer one
+model's config entry) and returns the task's result. The one
 wrangle task reads the stored telemetry straight into columns, on
 ``pool_width`` processes, and never holds its documents; it builds every
 fridge's block from those columns and cuts both kinds of example from the
@@ -245,7 +247,8 @@ def _cut_dsr_examples(store, blocks: dict, config: dict) -> dict:
     return summary
 
 
-def _fault_example_doc(example, split: str) -> dict:
+def _fault_example_doc(example) -> dict:
+    """A fault window's document, without its split."""
     return {
         "_id": f"fault:{example.fridge_id}:{example.window_end_ts!r}:{example.label}",
         "fridge_id": example.fridge_id,
@@ -256,7 +259,6 @@ def _fault_example_doc(example, split: str) -> dict:
         "window_end_ts": example.window_end_ts,
         "feature_names": list(example.feature_names),
         "observed": [list(map(float, row)) for row in example.observed],
-        "split": split,
     }
 
 
@@ -284,15 +286,11 @@ def _cut_fault_examples(store, blocks: dict, config: dict) -> dict:
     if not examples:
         raise PipelineError("wrangle produced no fault examples; "
                             f"merge stats: {stats}")
-    ids = sorted(_fault_example_doc(ex, "train")["_id"] for ex in examples)
-    test_ids = set(split_dataset(ids, f["test_fraction"], f["val_fraction"],
-                                 config["seed"]))
-    docs = []
-    for example in examples:
-        doc = _fault_example_doc(example, "train")
+    docs = sorted(map(_fault_example_doc, examples), key=lambda d: d["_id"])
+    test_ids = set(split_dataset([doc["_id"] for doc in docs], f["test_fraction"],
+                                 f["val_fraction"], config["seed"]))
+    for doc in docs:
         doc["split"] = "test" if doc["_id"] in test_ids else "train"
-        docs.append(doc)
-    docs.sort(key=lambda d: d["_id"])
     inserted, skipped = insert_new(store, FAULT_EXAMPLES, docs)
     summary = {
         "positives": stats.positives,
@@ -309,29 +307,26 @@ def _cut_fault_examples(store, blocks: dict, config: dict) -> dict:
 # ----------------------------------------------------------------- learn
 
 
-def _example_matrix(docs: list[dict]):
-    return np.asarray([doc["observed"] for doc in docs], dtype=float)
-
-
-def _training_docs(store, entry: dict, split: str) -> list[dict]:
-    if entry["task"] == "regression":
+def _examples(store, task: str, lead_seconds: float, select, split: str):
+    """The examples in ``split`` that pass ``select``, ordered by _id, and
+    their windows as one array: defrost examples cut at ``lead_seconds``
+    for regression, fault windows for classification."""
+    if task == "regression":
         collection = DSR_EXAMPLES
-        match = {"split": split, "lead_seconds": entry["lead_seconds"]}
+        match = {"split": split, "lead_seconds": lead_seconds}
     else:
         collection = FAULT_EXAMPLES
         match = {"split": split}
-    pipeline = [{"$match": match}] + list(entry["select"])
-    docs = store.aggregate(collection, pipeline)
+    docs = store.aggregate(collection, [{"$match": match}, *select])
     docs.sort(key=lambda d: d["_id"])
-    return docs
+    return docs, np.asarray([doc["observed"] for doc in docs], dtype=float)
 
 
 def learn_model(store, entry: dict, global_seed: int) -> dict:
     """Train one configured model on the train split and store the blob."""
-    docs = _training_docs(store, entry, "train")
+    docs, X = _examples(store, entry["task"], entry["lead_seconds"], entry["select"], "train")
     if not docs:
         raise PipelineError(f"learn {entry['name']}: no training examples matched")
-    X = _example_matrix(docs)
     seed = entry["seed"] if entry["seed"] is not None else global_seed
     train_config = TrainConfig(
         cell=entry["cell"],
@@ -397,57 +392,30 @@ def infer_model(store, entry: dict) -> dict:
     seconds to threshold minus the decision lead, i.e. how long the fridge
     can stay off after the decision point.
     """
-    index_doc, artifact = load_model(store, entry["model"])
-    task = index_doc["task"]
-    learn_like = {
-        "task": task,
-        "lead_seconds": index_doc["lead_seconds"],
-        "select": entry["select"],
-    }
-    docs = _training_docs(store, learn_like, entry["split"])
+    name = entry["model"]
+    index_doc, artifact = load_model(store, name)
+    docs, X = _examples(store, index_doc["task"], index_doc["lead_seconds"],
+                        entry["select"], entry["split"])
     if not docs:
-        raise PipelineError(f"infer {entry['model']}: no examples in split "
-                            f"{entry['split']!r}")
-    X = _example_matrix(docs)
-    out = []
-    if task == "regression":
-        predictions = predict_values(artifact, X)
+        raise PipelineError(f"infer {name}: no examples in split {entry['split']!r}")
+    out = [{"_id": f"pred:{name}:{doc['_id']}", "model_name": name,
+            "model_id": index_doc["model_id"], "example_id": doc["_id"],
+            "fridge_id": doc["fridge_id"], "store_id": doc["store_id"],
+            "split": doc["split"], "window_end_ts": doc["window_end_ts"]}
+           for doc in docs]
+    if index_doc["task"] == "regression":
         lead = float(index_doc["lead_seconds"])
-        for doc, value in zip(docs, predictions):
-            out.append({
-                "_id": f"pred:{entry['model']}:{doc['_id']}",
-                "model_name": entry["model"],
-                "model_id": index_doc["model_id"],
-                "example_id": doc["_id"],
-                "fridge_id": doc["fridge_id"],
-                "store_id": doc["store_id"],
-                "split": doc["split"],
-                "lead_seconds": lead,
-                "window_end_ts": doc["window_end_ts"],
-                "target_seconds": doc["target_seconds"],
-                "predicted_seconds": float(value),
-                "predicted_safe_off_s": float(value) - lead,
-            })
+        for pred, doc, value in zip(out, docs, predict_values(artifact, X)):
+            pred.update(lead_seconds=lead, target_seconds=doc["target_seconds"],
+                        predicted_seconds=float(value),
+                        predicted_safe_off_s=float(value) - lead)
     else:
         labels, probs = predict_labels(artifact, X)
-        for doc, label, p in zip(docs, labels, probs):
-            out.append({
-                "_id": f"pred:{entry['model']}:{doc['_id']}",
-                "model_name": entry["model"],
-                "model_id": index_doc["model_id"],
-                "example_id": doc["_id"],
-                "fridge_id": doc["fridge_id"],
-                "store_id": doc["store_id"],
-                "split": doc["split"],
-                "window_end_ts": doc["window_end_ts"],
-                "label_true": doc["label"],
-                "label_predicted": label,
-                "probabilities": {
-                    cls: float(v) for cls, v in zip(artifact.classes, p)
-                },
-            })
+        for pred, doc, label, p in zip(out, docs, labels, probs):
+            pred.update(label_true=doc["label"], label_predicted=label,
+                        probabilities={cls: float(v) for cls, v in zip(artifact.classes, p)})
     inserted, skipped = insert_new(store, PREDICTIONS, out)
-    summary = {"model": entry["model"], "split": entry["split"],
+    summary = {"model": name, "split": entry["split"],
                "predictions": len(out), "inserted": inserted, "skipped": skipped}
     log.info("infer: %s", summary)
     return summary
@@ -506,31 +474,19 @@ def simulate_into_store(store, config: dict) -> dict:
 
 
 def _with_store(fn):
-    def task(ctx, config):
+    """The builtin that runs ``fn(store, **args)`` on the store at
+    ``ctx.store_path`` and returns what ``fn`` returns."""
+    def task(ctx, **args):
         with open_store(ctx.store_path, wait_for_lock_s=60.0) as store:
-            fn(store, config)
+            return fn(store, **args)
 
     return task
 
 
-def _task_learn(ctx, config, name):
-    entries = [e for e in config["learn"] or [] if e["name"] == name]
-    if not entries:
-        raise PipelineError(f"learn task: no model named {name!r} in config")
-    with open_store(ctx.store_path, wait_for_lock_s=60.0) as store:
-        learn_model(store, entries[0], config["seed"])
-
-
-def _task_infer(ctx, config, index):
-    entries = config["infer"] or []
-    with open_store(ctx.store_path, wait_for_lock_s=60.0) as store:
-        infer_model(store, entries[index])
-
-
 REGISTRY = {
     "wrangle_dsr": _with_store(wrangle),  # bench traces name task spans by key
-    "learn": _task_learn,
-    "infer": _task_infer,
+    "learn": _with_store(learn_model),
+    "infer": _with_store(infer_model),
     "select": _with_store(select_dsr),
     "report": _with_store(make_report),
 }
@@ -550,7 +506,7 @@ def build_stages(config: dict):
             name="learn",
             scripts=tuple(
                 ScriptSpec(name=f"learn:{entry['name']}", builtin="learn",
-                           args={"config": config, "name": entry["name"]})
+                           args={"entry": entry, "global_seed": config["seed"]})
                 for entry in config["learn"]
             ),
         ))
@@ -559,8 +515,8 @@ def build_stages(config: dict):
             name="infer",
             scripts=tuple(
                 ScriptSpec(name=f"infer:{entry['model']}", builtin="infer",
-                           args={"config": config, "index": i})
-                for i, entry in enumerate(config["infer"])
+                           args={"entry": entry})
+                for entry in config["infer"]
             ),
         ))
     serve_scripts = []

@@ -222,14 +222,10 @@ def fault(tmp_path_factory):
         seed=FAULT_SEED,
     )
     examples = balance_classes(examples, FAULT_SEED)
-    ids = sorted(_fault_example_doc(ex, "train")["_id"] for ex in examples)
-    test_ids = set(split_dataset(ids, 0.2, 0.1, FAULT_SEED))
-    docs = []
-    for ex in examples:
-        doc = _fault_example_doc(ex, "train")
+    docs = sorted(map(_fault_example_doc, examples), key=lambda d: d["_id"])
+    test_ids = set(split_dataset([doc["_id"] for doc in docs], 0.2, 0.1, FAULT_SEED))
+    for doc in docs:
         doc["split"] = "test" if doc["_id"] in test_ids else "train"
-        docs.append(doc)
-    docs.sort(key=lambda d: d["_id"])
 
     with open_store(base / "store") as store:
         insert_new(store, FAULT_EXAMPLES, docs)

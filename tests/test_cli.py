@@ -279,7 +279,7 @@ def test_ingest_failing_in_a_worker_stops_at_that_file(tmp_path, capsys, width):
     code, serial = ingest_at_width(tmp_path, data, 1)
     assert code == 1
     serial_err = capsys.readouterr().err
-    assert "airOnTemp" in serial_err
+    assert f"{data / 'telemetry' / 'b.csv'}: required column 'airOnTemp'" in serial_err
     code, pooled = ingest_at_width(tmp_path, data, width)
     assert code == 1
     assert capsys.readouterr().err == serial_err
@@ -288,3 +288,26 @@ def test_ingest_failing_in_a_worker_stops_at_that_file(tmp_path, capsys, width):
         (serial / "telemetry.ndjson").read_bytes()
     with open_store(str(pooled), read_only=True) as store:
         assert {doc["fridge_id"] for doc in store.find_all("telemetry")} == {"F0"}
+
+
+@pytest.mark.parametrize("content, message", [
+    (CSV_HEADER.replace("airOnTemp", "airOnTemp,airOnTemp") + "1.0,F1,S0,3.0,9.0,1.0,0,1.0\n",
+     "column 'airOnTemp' appears twice in the header"),
+    (CSV_HEADER + "2.0,F1,S0,4.0,1.0,0,1.0\n1.0,F1,S0,4.0,1.0,0,1.0\n",
+     "records out of order near fridge 'F1' t=1.0"),
+], ids=["repeated-column", "unsorted"])
+def test_ingest_names_the_csv_a_worker_failed_on(tmp_path, capsys, content, message):
+    data = tmp_path / "data"
+    (data / "telemetry").mkdir(parents=True)
+    (data / "telemetry" / "a.csv").write_text(CSV_HEADER + "".join(csv_rows("F0", 20, 1.0)))
+    alone = tmp_path / "alone"
+    assert main(["ingest", "--store", str(alone), "--from", str(data)]) == 0
+    bad = data / "telemetry" / "b.csv"
+    bad.write_text(content)
+    capsys.readouterr()
+    code, store = ingest_at_width(tmp_path, data, 2)
+    assert code == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    for name in ("telemetry.ndjson", "fridge_ratings.ndjson"):
+        assert (store / name).read_bytes() == (alone / name).read_bytes()

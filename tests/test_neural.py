@@ -8,7 +8,6 @@ import pytest
 from gradcheck import finite_difference_check
 
 from coldflow.neural import (
-    AdamConfig,
     AdamState,
     DivergedLoss,
     ModelArtifact,
@@ -104,9 +103,8 @@ def test_adam_two_step_oracle():
     # lr * 1 / (1 + eps), so two steps move the weight by ~0.2.
     params = {"w": np.array([1.0])}
     state = AdamState(params)
-    config = AdamConfig(learning_rate=0.1)
     for _ in range(2):
-        adam_step(params, {"w": np.array([1.0])}, state, config)
+        adam_step(params, {"w": np.array([1.0])}, state, 0.1)
     assert params["w"][0] == pytest.approx(0.8, abs=1e-6)
     assert state.step == 2
 

@@ -1,14 +1,18 @@
 """Store-backed pipeline tasks: ingest, wrangle, learn, infer, select, report."""
 
 import itertools
+import json
 import random
+import shutil
 
 import numpy as np
 import pytest
 
 from coldflow import pipelines
+from coldflow.cli import main
 from coldflow.docstore import canonical_dumps, open_store
 from coldflow.fridgesim import WORKORDER_PATTERNS
+from coldflow.orchestrator import WorkerContext
 from coldflow.pipelines import (
     PipelineError,
     build_stages,
@@ -16,7 +20,7 @@ from coldflow.pipelines import (
     run_project,
     select_candidates,
 )
-from coldflow.runconfig import validate_config
+from coldflow.runconfig import load_config, validate_config
 from coldflow.telemetry import Readings, Setpoints
 from coldflow.wrangler import document_columns, fridge_series
 
@@ -524,6 +528,43 @@ def test_build_stages_widths_and_order():
     assert all(s.pool_width == 1 for s in stages)
     # One wrangle task cuts both kinds of example.
     assert [x.name for x in stages[0].scripts] == ["wrangle_dsr"]
+
+
+def test_learn_and_infer_builtins_return_their_task_results(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "seed": 11,
+        "wrangle": {"window_len": 16, "leads": [0.0], "target_band_s": [300.0, 8100.0]},
+        "simulate": {"n_fridges": 3, "days": 4},
+        "learn": [{"name": "m", "task": "regression", "cell": "rnn",
+                   "layers": 1, "hidden": 6, "epochs": 2}],
+        "infer": [{"model": "m", "split": "test"}],
+    }))
+    cfg = load_config(str(path))
+    builtins, by_cli = tmp_path / "builtins", tmp_path / "by-cli"
+    with open_store(str(builtins)) as store:
+        pipelines.simulate_into_store(store, cfg)
+        pipelines.wrangle(store, cfg)
+    shutil.copytree(builtins, by_cli)
+    assert main(["learn", "--config", str(path), "--store", str(by_cli)]) == 0
+
+    results = {}
+    for stage in build_stages(cfg):
+        if stage.name not in ("learn", "infer"):
+            continue
+        for index, spec in enumerate(stage.scripts):
+            ctx = WorkerContext(store_path=str(builtins), config_path=None, stage=stage.name,
+                                index=index, total=len(stage.scripts), width=1)
+            results[spec.name] = pipelines.REGISTRY[spec.builtin](ctx, **spec.args)
+    assert list(results) == ["learn:m", "infer:m"]
+    with open_store(str(builtins), read_only=True) as store:
+        assert results["learn:m"] == store.get("model_index", "model:m")
+        n = len(store.find_all("predictions"))
+    assert n > 0
+    assert results["infer:m"] == {"model": "m", "split": "test", "predictions": n,
+                                  "inserted": n, "skipped": 0}
+    for name in ("model_index.ndjson", "models.ndjson", "model_chunks.ndjson"):
+        assert (builtins / name).read_bytes() == (by_cli / name).read_bytes()
 
 
 def test_wrangle_dsr_empty_store_raises(tmp_path):
