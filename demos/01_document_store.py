@@ -36,8 +36,8 @@ with open_store(workdir + "/store") as store:
     for row in per_store:
         print(f"store {row['_id']}: {row['n']} fridges, {row['kw']:.1f} kW")
 
-    # Model weights live in a chunked, content-addressed blob store: the
-    # id is a hash of metadata plus bytes, so identical models dedupe.
+    # Model weights are one content-addressed document each: the id is a
+    # hash of metadata plus bytes, so identical models dedupe.
     weights = b"\x00\x01" * 1000
     model_id = store.put_model({"name": "demo", "task": "none"}, weights)
     meta, loaded = store.get_model(model_id)

@@ -9,15 +9,15 @@ testable: warming follows a closed form we can compare against.
 """
 
 from coldflow.fridgesim import (
+    CADENCE_S,
     SimConfig,
     fleet_specs,
-    noise_free,
     simulate_fleet,
     true_time_to_threshold,
 )
 
 # Three fridges for one day, with per-step sensor noise disabled.
-config = noise_free(SimConfig(n_fridges=3, days=1.0, seed=7))
+config = SimConfig(n_fridges=3, days=1.0, seed=7, noise=False)
 
 for spec, readings in simulate_fleet(config):
     print(f"{spec.fridge_id}: k_warm={spec.k_warm:.2e}, "
@@ -30,7 +30,7 @@ for spec, readings in simulate_fleet(config):
     end = start
     while flags[end] == 1:
         end += 1
-    measured = (end - start) * config.cadence_s
+    measured = (end - start) * CADENCE_S
 
     # During defrost the compressor is off and the case warms toward
     # ambient; the closed form gives the time to the 8 degC threshold.

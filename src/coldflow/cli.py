@@ -163,10 +163,9 @@ def _ingest_file(path: pathlib.Path, sidecar: dict, fallback: Setpoints):
     unsorted rows raise their own exception type, with the path in front.
     """
     from coldflow import pipelines
-    from coldflow.fridgesim import FLEET_CSV_SCHEMA
 
     try:
-        readings, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+        readings, rejects = parse_telemetry_csv(path.read_text())
         batches = []
         for lo, hi in runs(readings.fridge_ids):
             pair = sidecar.get(readings.fridge_ids[lo])

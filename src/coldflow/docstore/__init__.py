@@ -13,8 +13,8 @@ documents. ``get``, ``aggregate`` and ``find_all`` return deep copies, and
 ``map_ranges`` reads a large collection in byte ranges on forked
 processes without keeping its documents. ``encode_documents`` checks and
 encodes a batch into an ``Encoded`` without a store, so a worker process
-can prepare what ``insert_many`` appends. Large binary model artifacts are
-chunked into a companion collection with a manifest and checksum.
+can prepare what ``insert_many`` appends. A binary model artifact is one
+``models`` document holding its bytes in base64 and their checksum.
 """
 
 from coldflow.docstore.documents import (
@@ -40,7 +40,7 @@ from coldflow.docstore.store import (
     encode_documents,
     open_store,
 )
-from coldflow.docstore.blobs import ChecksumMismatch, MODEL_CHUNK_BYTES
+from coldflow.docstore.blobs import ChecksumMismatch
 
 __all__ = [
     "AggregationPipeline",
@@ -51,7 +51,6 @@ __all__ = [
     "DuplicateId",
     "Encoded",
     "LockHeld",
-    "MODEL_CHUNK_BYTES",
     "NotFound",
     "PipelineSyntaxError",
     "ReadOnlyStore",

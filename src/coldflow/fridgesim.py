@@ -24,45 +24,56 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from coldflow.runconfig import WORKORDER_PATTERNS  # matches workorders_for_plans' text
-from coldflow.telemetry import CsvSchema, Readings
+from coldflow.telemetry import CSV_COLUMNS, Readings
 
 SECONDS_PER_DAY = 86400.0
+
+# Telemetry cadence and first timestamp; the defrost timer and its cut-outs.
+CADENCE_S = 60.0
+START_TS = 1_500_000_000.0
+DEFROSTS_PER_DAY = 4
+DEFROST_MAX_S = 7200.0
+THRESHOLD_TEMP = 8.0
+
+# Per-fridge uniform sampling ranges. Ambient stays within the narrow band
+# of a climate-controlled sales floor: a short window identifies a fridge's
+# warming rate only as the product k_warm * (ambient - T), so a wide
+# ambient spread would make time-to-threshold unidentifiable from window
+# features alone no matter the model.
+K_COOL_RANGE = (1.0 / 900.0, 1.0 / 300.0)
+K_WARM_RANGE = (1.3e-4, 4.2e-4)
+T_SET_LOW_RANGE = (0.5, 2.0)
+T_SET_HIGH_RANGE = (3.0, 4.5)
+T_AMBIENT_RANGE = (19.5, 20.5)
+POWER_KW_RANGE = (1.0, 4.0)
+# Sensor repeatability, not absolute accuracy: per-sample jitter of a
+# calibrated probe. Threshold-crossing jitter scales with sigma and sets
+# the noise floor of defrost-duration targets.
+NOISE_SIGMA_RANGE = (0.02, 0.05)
+SPREAD_RANGE = (1.0, 2.0)
+
+# A fault's ramp: k_warm grows to K_WARM_END_FACTOR times its own and a
+# slow oscillation (compressor hunting) to OSC_AMP degrees.
+RAMP_S = 2.0 * SECONDS_PER_DAY
+K_WARM_END_FACTOR = 1.6
+OSC_AMP = 0.8
+OSC_PERIOD_S = 900.0
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fleet-level simulation settings and per-fridge parameter ranges."""
+    """Fleet-level simulation settings; ``noise`` off zeroes per-step noise."""
 
     n_fridges: int = 50
     days: float = 30.0
     seed: int = 0
-    cadence_s: float = 60.0
-    start_ts: float = 1_500_000_000.0
     fridges_per_store: int = 10
-    defrosts_per_day: int = 4
-    defrost_max_s: float = 7200.0
-    threshold_temp: float = 8.0
-    # Per-fridge uniform sampling ranges. Ambient stays within the narrow
-    # band of a climate-controlled sales floor: a short window identifies a
-    # fridge's warming rate only as the product k_warm * (ambient - T), so
-    # a wide ambient spread would make time-to-threshold unidentifiable
-    # from window features alone no matter the model.
-    k_cool_range: tuple = (1.0 / 900.0, 1.0 / 300.0)
-    k_warm_range: tuple = (1.3e-4, 4.2e-4)
-    t_set_low_range: tuple = (0.5, 2.0)
-    t_set_high_range: tuple = (3.0, 4.5)
-    t_ambient_range: tuple = (19.5, 20.5)
-    power_kw_range: tuple = (1.0, 4.0)
-    # Sensor repeatability, not absolute accuracy: per-sample jitter of a
-    # calibrated probe. Threshold-crossing jitter scales with sigma and
-    # sets the noise floor of defrost-duration targets.
-    noise_sigma_range: tuple = (0.02, 0.05)
-    spread_range: tuple = (1.0, 2.0)
+    noise: bool = True
 
 
 @dataclass(frozen=True)
@@ -87,45 +98,39 @@ class FridgeSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A developing fault: warming constant ramps up, hunting sets in.
-
-    The ramp runs over ``ramp_seconds`` ending at ``fault_ts`` (the work
-    order timestamp). The telemetry stream stops at the fault: the unit is
-    switched off for repair.
-    """
+    """A developing fault, ramping up over the RAMP_S before ``fault_ts``
+    (the work order timestamp). The telemetry stream stops at the fault:
+    the unit is switched off for repair."""
 
     fridge_id: str
     fault_name: str
     fault_ts: float
-    ramp_seconds: float = 2.0 * SECONDS_PER_DAY
-    k_warm_end_factor: float = 1.6
-    osc_amp: float = 0.8
-    osc_period_s: float = 900.0
 
 
 def fleet_specs(config: SimConfig) -> list[FridgeSpec]:
     """Sample the fleet deterministically: fridge i depends only on (seed, i)."""
-    period_steps = int(SECONDS_PER_DAY / config.defrosts_per_day / config.cadence_s)
+    period_steps = int(SECONDS_PER_DAY / DEFROSTS_PER_DAY / CADENCE_S)
     specs = []
     for i in range(config.n_fridges):
         rng = np.random.default_rng([config.seed, i, 0])
-        low = rng.uniform(*config.t_set_low_range)
-        high = rng.uniform(*config.t_set_high_range)
+        low = rng.uniform(*T_SET_LOW_RANGE)
+        high = rng.uniform(*T_SET_HIGH_RANGE)
         specs.append(
             FridgeSpec(
                 fridge_id=f"F{i:04d}",
                 store_id=f"S{i // config.fridges_per_store:03d}",
                 fridge_index=i,
-                k_cool=rng.uniform(*config.k_cool_range),
-                k_warm=rng.uniform(*config.k_warm_range),
+                k_cool=rng.uniform(*K_COOL_RANGE),
+                k_warm=rng.uniform(*K_WARM_RANGE),
                 t_set_low=low,
                 t_set_high=high,
-                t_ambient=rng.uniform(*config.t_ambient_range),
-                threshold_temp=config.threshold_temp,
-                power_kw=rng.uniform(*config.power_kw_range),
-                noise_sigma=rng.uniform(*config.noise_sigma_range),
-                spread=rng.uniform(*config.spread_range),
-                defrost_phase_s=float(rng.integers(0, period_steps)) * config.cadence_s,
+                t_ambient=rng.uniform(*T_AMBIENT_RANGE),
+                threshold_temp=THRESHOLD_TEMP,
+                power_kw=rng.uniform(*POWER_KW_RANGE),
+                # Drawn with noise off too, so every later draw is the same.
+                noise_sigma=rng.uniform(*NOISE_SIGMA_RANGE) * float(config.noise),
+                spread=rng.uniform(*SPREAD_RANGE),
+                defrost_phase_s=float(rng.integers(0, period_steps)) * CADENCE_S,
                 initial_temp=rng.uniform(low, high),
             )
         )
@@ -155,9 +160,9 @@ def simulate_fridge(
     different fault plans share it step for step: readings before any
     behavioral divergence are bit-identical across runs.
     """
-    dt = config.cadence_s
+    dt = CADENCE_S
     steps = int(round(config.days * SECONDS_PER_DAY / dt))
-    period_steps = int(SECONDS_PER_DAY / config.defrosts_per_day / dt)
+    period_steps = int(SECONDS_PER_DAY / DEFROSTS_PER_DAY / dt)
     phase_steps = int(round(spec.defrost_phase_s / dt))
 
     rng = np.random.default_rng([config.seed, spec.fridge_index, 1])
@@ -168,14 +173,14 @@ def simulate_fridge(
         else [0.0] * steps
     )
 
-    ramp_start = fault.fault_ts - fault.ramp_seconds if fault else None
+    ramp_start = fault.fault_ts - RAMP_S if fault else None
     stamps, air_ons, air_offs, flags, power = [], [], [], [], []
     temp = spec.initial_temp
     state = _COOLING
     defrost_elapsed = 0.0
 
     for i in range(steps):
-        t = config.start_ts + i * dt
+        t = START_TS + i * dt
         if fault is not None and t >= fault.fault_ts:
             break
         if state != _DEFROST and (i - phase_steps) % period_steps == 0:
@@ -184,10 +189,10 @@ def simulate_fridge(
 
         progress = 0.0
         if fault is not None and t > ramp_start:
-            progress = min(1.0, (t - ramp_start) / fault.ramp_seconds)
+            progress = min(1.0, (t - ramp_start) / RAMP_S)
         oscillation = (
-            fault.osc_amp * progress
-            * math.sin(2.0 * math.pi * (t - ramp_start) / fault.osc_period_s)
+            OSC_AMP * progress
+            * math.sin(2.0 * math.pi * (t - ramp_start) / OSC_PERIOD_S)
             if progress > 0.0
             else 0.0
         )
@@ -206,7 +211,7 @@ def simulate_fridge(
         flags.append(1 if state == _DEFROST else 0)
         power.append(spec.power_kw if cooling else 0.0)
 
-        k_warm = spec.k_warm * (1.0 + (fault.k_warm_end_factor - 1.0) * progress) \
+        k_warm = spec.k_warm * (1.0 + (K_WARM_END_FACTOR - 1.0) * progress) \
             if progress > 0.0 else spec.k_warm
         if cooling:
             temp += dt * (-spec.k_cool) * (temp - spec.t_set_low) + noise[i]
@@ -215,7 +220,7 @@ def simulate_fridge(
 
         if state == _DEFROST:
             defrost_elapsed += dt
-            if temp >= spec.threshold_temp or defrost_elapsed >= config.defrost_max_s:
+            if temp >= spec.threshold_temp or defrost_elapsed >= DEFROST_MAX_S:
                 state = _COOLING
         elif state == _COOLING and temp <= spec.t_set_low:
             state = _IDLE
@@ -263,21 +268,19 @@ def plan_faults(specs: list[FridgeSpec], config: SimConfig, n_faults: int,
     rng = np.random.default_rng([seed, 2])
     chosen = rng.choice(len(specs), size=n_faults, replace=False)
     plans = []
-    ramp = 2.0 * SECONDS_PER_DAY
-    earliest = ramp + SECONDS_PER_DAY
-    latest = config.days * SECONDS_PER_DAY - config.cadence_s
+    earliest = RAMP_S + SECONDS_PER_DAY
+    latest = config.days * SECONDS_PER_DAY - CADENCE_S
     if latest <= earliest:
         raise ValueError("simulation too short for a fault ramp plus history")
     for index in sorted(chosen):
         spec = specs[index]
         offset = rng.uniform(earliest, latest)
-        steps = int(offset / config.cadence_s)
+        steps = int(offset / CADENCE_S)
         plans.append(
             FaultPlan(
                 fridge_id=spec.fridge_id,
                 fault_name=FAULT_NAMES[int(rng.integers(0, len(FAULT_NAMES)))],
-                fault_ts=config.start_ts + steps * config.cadence_s,
-                ramp_seconds=ramp,
+                fault_ts=START_TS + steps * CADENCE_S,
             )
         )
     return plans
@@ -312,36 +315,16 @@ def workorders_for_plans(plans: list[FaultPlan], specs: list[FridgeSpec],
 
 # ------------------------------------------------------------- csv export
 
-FLEET_CSV_COLUMNS = (
-    "TimeStamp", "fridgeId", "storeId", "airOnTemp", "airOffTemp", "Def", "power_kw",
-)
-
-FLEET_CSV_SCHEMA = CsvSchema(
-    columns={
-        "timestamp": "TimeStamp",
-        "fridge_id": "fridgeId",
-        "store_id": "storeId",
-        "air_on": "airOnTemp",
-        "air_off": "airOffTemp",
-        "defrost": "Def",
-    }
-)
-
-
 def write_telemetry_csv(readings: Readings, path) -> None:
-    """Write simulated readings as a CSV readable back via FLEET_CSV_SCHEMA.
+    """Write simulated readings as a CSV with the telemetry CSV_COLUMNS and
+    a ``power_kw`` column, as ``coldflow ingest`` reads it back.
 
     Floats go out as repr, so a parse round trip reproduces them exactly.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(FLEET_CSV_COLUMNS)
+        writer.writerow((*CSV_COLUMNS, "power_kw"))
         writer.writerows(zip(map(repr, readings.timestamps), readings.fridge_ids,
                              (store_id or "" for store_id in readings.store_ids),
                              map(repr, readings.air_on), map(repr, readings.air_off),
                              readings.defrost, map(repr, readings.extra["power_kw"])))
-
-
-def noise_free(config: SimConfig) -> SimConfig:
-    """A copy of the config with per-step noise disabled fleet-wide."""
-    return replace(config, noise_sigma_range=(0.0, 0.0))

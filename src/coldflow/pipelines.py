@@ -46,7 +46,6 @@ from coldflow.docstore import Encoded, canonical_dumps, open_store
 from coldflow.fridgesim import (
     SimConfig,
     fleet_specs,
-    noise_free,
     plan_faults,
     simulate_fleet,
     workorders_for_plans,
@@ -296,6 +295,8 @@ def _cut_fault_examples(store, blocks: dict, config: dict) -> dict:
         "positives": stats.positives,
         "negatives": stats.negatives,
         "skipped_workorders": stats.skipped_workorders,
+        "unmatched_fridges": stats.unmatched_fridges,
+        "positive_rejects": stats.positive_rejects,
         "examples": len(docs),
         "inserted": inserted,
         "skipped": skipped,
@@ -428,15 +429,13 @@ def sim_config_from(config: dict) -> SimConfig:
     sim = config["simulate"]
     if sim is None:
         raise PipelineError("config has no simulate section")
-    sim_config = SimConfig(
+    return SimConfig(
         n_fridges=sim["n_fridges"],
         days=sim["days"],
         seed=config["seed"],
         fridges_per_store=sim["fridges_per_store"],
+        noise=sim["noise"],
     )
-    if not sim["noise"]:
-        sim_config = noise_free(sim_config)
-    return sim_config
 
 
 def plan_fleet_faults(sim_config: SimConfig, config: dict):

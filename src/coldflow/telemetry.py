@@ -3,12 +3,12 @@
 A batch of sensor readings travels as :class:`Readings`, one list per
 field with one entry per reading: timestamp (epoch seconds), fridge id,
 store id (or None), case air temperatures entering/leaving the
-evaporator, defrost state flag, and an ``extra`` map from each unmapped
-sensor column's name to its values, untouched. ``derive_features`` turns
-a sorted batch into what ingest stores: one canonical line per reading,
-holding the base fields, ``extra``, and a ``derived`` map (cadence
-deltas, setpoint differences) computed from a reading and its in-fridge
-predecessor.
+evaporator, defrost state flag (a CSV's :data:`CSV_COLUMNS`), and an
+``extra`` map from each other channel's name to its values, untouched.
+``derive_features`` turns a sorted batch into what ingest stores: one
+canonical line per reading, holding the base fields, ``extra``, and a
+``derived`` map (cadence deltas, setpoint differences) computed from a
+reading and its in-fridge predecessor.
 
 No document is built on the way. The deltas and setpoint differences are
 whole-column subtractions, the same float subtractions a per-reading
@@ -34,7 +34,7 @@ import itertools
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from coldflow.docstore import DuplicateId, Encoded, canonical_dumps
 from coldflow.selection import TELEMETRY
@@ -43,8 +43,8 @@ log = logging.getLogger(__name__)
 
 
 class MissingColumn(Exception):
-    """A required mapped column is absent from the CSV header, or the
-    header names a column twice."""
+    """A required column is absent from the CSV header, or the header
+    names a column twice."""
 
 
 class UnsortedInput(Exception):
@@ -82,20 +82,9 @@ def runs(values: list) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:])) if values else []
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Maps canonical field names to CSV column names.
-
-    ``columns`` must cover timestamp, air_on, air_off and defrost;
-    fridge_id (and optionally store_id) may instead come from ``defaults``
-    when the file describes a single unit. Unmapped columns ride along in
-    the readings' ``extra`` map, each value parsed as float when possible.
-    """
-
-    columns: dict
-    defaults: dict = field(default_factory=dict)
-
-    REQUIRED = ("timestamp", "air_on", "air_off", "defrost")
+# The columns a telemetry CSV must have, in any order, as the simulator
+# writes them; every other column is an extra channel.
+CSV_COLUMNS = ("TimeStamp", "fridgeId", "storeId", "airOnTemp", "airOffTemp", "Def")
 
 
 @dataclass(frozen=True)
@@ -119,16 +108,18 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def parse_telemetry_csv(text: str, schema: CsvSchema):
-    """Parse CSV text into a batch of readings plus per-row rejects.
+def parse_telemetry_csv(text: str):
+    """Parse CSV text with the :data:`CSV_COLUMNS` into a batch of readings
+    plus per-row rejects.
 
     Returns ``(readings, rejects)``: each accepted row appends to the
-    :class:`Readings` columns, with every unmapped column in ``extra``
-    (``""`` for a missing or empty cell). Unparseable required fields
-    reject the whole row with its 1-based data-row number (header not
-    counted); other rows are unaffected. Raises MissingColumn when a
-    required mapped column is missing from the header entirely, or when
-    the header names a column twice.
+    :class:`Readings` columns, with every other column in ``extra`` (each
+    value a float when it parses as a finite one, else its text, ``""``
+    for a missing or empty cell). Unparseable required fields reject the
+    whole row with its 1-based data-row number (header not counted); other
+    rows are unaffected. Raises MissingColumn when a required column is
+    missing from the header entirely, or when the header names a column
+    twice.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -140,37 +131,17 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
     if len(positions) < len(header):
         repeated = next(name for i, name in enumerate(header) if positions[name] != i)
         raise MissingColumn(f"column {repeated!r} appears twice in the header")
-
-    for canonical in CsvSchema.REQUIRED:
-        column = schema.columns.get(canonical)
-        if column is None:
-            raise MissingColumn(f"schema maps no column for required field {canonical!r}")
+    ts, fridge, store, on, off, defrost = CSV_COLUMNS
+    for column in (ts, on, off, defrost, fridge, store):
         if column not in positions:
             raise MissingColumn(f"required column {column!r} not in header")
-    if "fridge_id" not in schema.columns and "fridge_id" not in schema.defaults:
-        raise MissingColumn("schema provides neither a fridge_id column nor a default")
-    for canonical in ("fridge_id", "store_id"):
-        column = schema.columns.get(canonical)
-        if column is not None and column not in positions:
-            raise MissingColumn(f"required column {column!r} not in header")
 
-    mapped = {column for column in schema.columns.values()}
-    extra = {name: [] for name in header if name not in mapped}
+    extra = {name: [] for name in header if name not in CSV_COLUMNS}
     extra_columns = [(values.append, positions[name]) for name, values in extra.items()]
     # Positions are resolved once. The checks run in a fixed order
     # (timestamp, air_on, air_off, defrost, fridge id), so a row with
     # several bad fields is always rejected for the first.
-    at_ts, at_on, at_off, at_defrost = (
-        positions[schema.columns[canonical]] for canonical in CsvSchema.REQUIRED
-    )
-    at_fridge = at_store = default_fridge = None
-    if "fridge_id" in schema.columns:
-        at_fridge = positions[schema.columns["fridge_id"]]
-    else:
-        default_fridge = str(schema.defaults["fridge_id"])
-    if "store_id" in schema.columns:
-        at_store = positions[schema.columns["store_id"]]
-    default_store = schema.defaults.get("store_id")
+    at_ts, at_fridge, at_store, at_on, at_off, at_defrost = (positions[c] for c in CSV_COLUMNS)
 
     rows, rejects = [], []
     for row_no, row in enumerate(reader, start=1):
@@ -184,16 +155,10 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
             defrost = int(defrost_raw)
             if defrost != defrost_raw or defrost not in (0, 1):
                 raise ValueError(f"defrost flag {defrost_raw!r} not in {{0, 1}}")
-            if at_fridge is None:
-                fridge_id = default_fridge
-            else:
-                fridge_id = row[at_fridge].strip()
-                if not fridge_id:
-                    raise ValueError("empty fridge id")
-            if at_store is None:
-                store_id = default_store
-            else:
-                store_id = row[at_store].strip() or None
+            fridge_id = row[at_fridge].strip()
+            if not fridge_id:
+                raise ValueError("empty fridge id")
+            store_id = row[at_store].strip() or None
         except (ValueError, IndexError) as exc:
             rejects.append(RejectedRow(row=row_no, reason=str(exc)))
             continue

@@ -397,7 +397,8 @@ class FaultMergeStats:
     positives: int = 0
     negatives: int = 0
     skipped_workorders: int = 0
-    positive_rejects: list = field(default_factory=list)
+    # Fault windows that could not be cut, counted by reject reason.
+    positive_rejects: dict = field(default_factory=dict)
     unmatched_fridges: int = 0
 
 
@@ -461,7 +462,7 @@ def merge_faults(
             reason = cut(series[fridge_id], event.timestamp - horizon_seconds,
                          "fault", event.fault_name)
             if reason is not None:
-                stats.positive_rejects.append(RejectedRun(fridge_id, event.timestamp, reason))
+                stats.positive_rejects[reason] = stats.positive_rejects.get(reason, 0) + 1
     stats.positives = len(examples)
 
     # Negative candidates: every record position far from that fridge's

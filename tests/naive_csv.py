@@ -1,9 +1,9 @@
 """Naive reference for CSV ingestion, with its own per-row form.
 
 The parser telemetry ingest used before it resolved column positions once
-and kept readings as columns: it looks every required cell up by name,
-through a per-row lambda and the schema's column map, and builds one
-:class:`Row` per reading. Used as the oracle in the parser equivalence
+and kept readings as columns: it looks every required cell up by its
+column name through a per-row lambda, and builds one :class:`Row` per
+reading. Used as the oracle in the parser equivalence
 test; :func:`rows_of` and :func:`readings_of` convert between its rows and
 the program's :class:`~coldflow.telemetry.Readings`.
 """
@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from coldflow.telemetry import CsvSchema, MissingColumn, Readings, RejectedRow
+from coldflow.telemetry import MissingColumn, Readings, RejectedRow
 
 
 @dataclass
@@ -56,13 +56,13 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def parse_telemetry_csv(text: str, schema: CsvSchema):
-    """Parse CSV text into rows plus per-row rejects.
+def parse_telemetry_csv(text: str):
+    """Parse CSV text with the fleet columns into rows plus per-row rejects.
 
     Returns ``(rows, rejects)``. Unparseable required fields reject the
     whole row with its 1-based data-row number (header not counted); other
-    rows are unaffected. Raises MissingColumn when a required mapped column
-    is missing from the header entirely.
+    rows are unaffected. Raises MissingColumn when a required column is
+    missing from the header entirely.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -72,20 +72,11 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
     header = [h.strip() for h in header]
     positions = {name: i for i, name in enumerate(header)}
 
-    for canonical in CsvSchema.REQUIRED:
-        column = schema.columns.get(canonical)
-        if column is None:
-            raise MissingColumn(f"schema maps no column for required field {canonical!r}")
+    for column in ("TimeStamp", "airOnTemp", "airOffTemp", "Def", "fridgeId", "storeId"):
         if column not in positions:
             raise MissingColumn(f"required column {column!r} not in header")
-    if "fridge_id" not in schema.columns and "fridge_id" not in schema.defaults:
-        raise MissingColumn("schema provides neither a fridge_id column nor a default")
-    for canonical in ("fridge_id", "store_id"):
-        column = schema.columns.get(canonical)
-        if column is not None and column not in positions:
-            raise MissingColumn(f"required column {column!r} not in header")
 
-    mapped = {column for column in schema.columns.values()}
+    mapped = {"TimeStamp", "fridgeId", "storeId", "airOnTemp", "airOffTemp", "Def"}
     extra_columns = [name for name in header if name not in mapped]
 
     records: list[Row] = []
@@ -94,24 +85,18 @@ def parse_telemetry_csv(text: str, schema: CsvSchema):
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
-            cell = lambda canonical: row[positions[schema.columns[canonical]]].strip()
-            timestamp = _parse_float(cell("timestamp"))
-            air_on = _parse_float(cell("air_on"))
-            air_off = _parse_float(cell("air_off"))
-            defrost_raw = _parse_float(cell("defrost"))
+            cell = lambda column: row[positions[column]].strip()
+            timestamp = _parse_float(cell("TimeStamp"))
+            air_on = _parse_float(cell("airOnTemp"))
+            air_off = _parse_float(cell("airOffTemp"))
+            defrost_raw = _parse_float(cell("Def"))
             defrost = int(defrost_raw)
             if defrost != defrost_raw or defrost not in (0, 1):
                 raise ValueError(f"defrost flag {defrost_raw!r} not in {{0, 1}}")
-            if "fridge_id" in schema.columns:
-                fridge_id = cell("fridge_id")
-                if not fridge_id:
-                    raise ValueError("empty fridge id")
-            else:
-                fridge_id = str(schema.defaults["fridge_id"])
-            if "store_id" in schema.columns:
-                store_id = cell("store_id") or None
-            else:
-                store_id = schema.defaults.get("store_id")
+            fridge_id = cell("fridgeId")
+            if not fridge_id:
+                raise ValueError("empty fridge id")
+            store_id = cell("storeId") or None
         except (ValueError, IndexError) as exc:
             rejects.append(RejectedRow(row=row_no, reason=str(exc)))
             continue

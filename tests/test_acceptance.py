@@ -20,10 +20,10 @@ from test_aggregation import random_docs, random_pipeline
 from coldflow.docstore import canonical_dumps, open_store, parse_document_line
 from coldflow.docstore.pipeline import parse_pipeline
 from coldflow.fridgesim import (
+    CADENCE_S,
     SimConfig,
     WORKORDER_PATTERNS,
     fleet_specs,
-    noise_free,
     plan_faults,
     simulate_fleet,
     simulate_fridge,
@@ -328,7 +328,7 @@ def test_criterion_05_lead_time_model_and_report(dsr):
 
 
 def test_criterion_06_durations_match_closed_form():
-    config = noise_free(SimConfig(n_fridges=1000, days=0.5, seed=66))
+    config = SimConfig(n_fridges=1000, days=0.5, seed=66, noise=False)
     worst = 0.0
     checked = 0
     for spec in fleet_specs(config):
@@ -339,13 +339,13 @@ def test_criterion_06_durations_match_closed_form():
         while end < len(flags) and flags[end] == 1:
             end += 1
         assert end < len(flags), f"{spec.fridge_id}: defrost never completed"
-        duration = (end - start) * config.cadence_s
+        duration = (end - start) * CADENCE_S
         expected = true_time_to_threshold(spec, readings.air_on[start])
         worst = max(worst, abs(duration - expected))
         checked += 1
-    _verdict(6, checked == 1000 and worst <= config.cadence_s,
+    _verdict(6, checked == 1000 and worst <= CADENCE_S,
              f"{checked} specs, worst |simulated - closed form| = {worst:.1f}s "
-             f"(<= {config.cadence_s:.0f}s)")
+             f"(<= {CADENCE_S:.0f}s)")
 
 
 def test_criterion_07_greedy_selection_matches_exhaustive():

@@ -11,8 +11,8 @@ from test_telemetry import documents_through_derived_records
 
 from coldflow.cli import DEFAULT_TARGET_OFF, DEFAULT_TARGET_ON, main
 from coldflow.docstore import canonical_dumps, open_store
-from coldflow.fridgesim import FLEET_CSV_SCHEMA, WORKORDER_PATTERNS
-from coldflow.pipelines import simulate_into_store
+from coldflow.fridgesim import START_TS, WORKORDER_PATTERNS
+from coldflow.pipelines import ingest_workorders, simulate_into_store
 from coldflow.runconfig import load_config
 from coldflow.telemetry import Setpoints, parse_telemetry_csv
 
@@ -95,6 +95,28 @@ def test_run_then_stepwise_commands(tmp_path, capsys):
     assert main(["select", "--config", config]) == 0
     assert main(["report", "--config", config]) == 0
     assert "improvement" in capsys.readouterr().out
+
+
+def test_wrangle_prints_fault_rejects_by_reason(tmp_path, capsys):
+    # Of four work orders, two give fault windows; one lands an hour into
+    # the data, too early for a window a horizon before it, and one names
+    # a fridge with no telemetry.
+    config = write_config(tmp_path, extra={
+        "faults": {"horizon_s": 21600.0, "window_len": 16, "test_fraction": 0.25,
+                   "val_fraction": 0.25},
+    })
+    store = str(tmp_path / "store")
+    day = 86400.0
+    with open_store(store) as handle:
+        simulate_into_store(handle, load_config(config))
+        ingest_workorders(handle, [("store S000 fridge F0000 icepack fault", START_TS + 2 * day),
+                                   ("store S000 fridge F0002 icepack fault", START_TS + 3 * day),
+                                   ("store S000 fridge F0001 icepack fault", START_TS + 3600.0),
+                                   ("store S009 fridge F0999 icepack fault", START_TS + day)])
+    assert main(["wrangle", "--config", config, "--store", store]) == 0
+    out = capsys.readouterr().out
+    assert "'positives': 2, 'negatives': 2, 'skipped_workorders': 0, 'unmatched_fridges': 1, " \
+        "'positive_rejects': {'insufficient_history': 1}," in out
 
 
 def test_simulate_ingest_csv_round_trip(tmp_path, capsys):
@@ -238,7 +260,7 @@ def reference_telemetry(data) -> bytes:
     sidecar = json.loads((data / "setpoints.json").read_text())
     lines = []
     for path in sorted((data / "telemetry").glob("*.csv")):
-        readings, _ = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+        readings, _ = parse_telemetry_csv(path.read_text())
         for fid, group in itertools.groupby(rows_of(readings), key=lambda r: r.fridge_id):
             setpoints = Setpoints(*sidecar.get(fid, (DEFAULT_TARGET_ON, DEFAULT_TARGET_OFF)))
             lines += [canonical_dumps(doc) + "\n"

@@ -1,5 +1,6 @@
 """Store mechanics: persistence, locking, batch atomicity, shared views, blobs."""
 
+import base64
 import json
 import math
 import os
@@ -15,7 +16,6 @@ from coldflow.docstore import (
     DuplicateId,
     Encoded,
     LockHeld,
-    MODEL_CHUNK_BYTES,
     NotFound,
     ReadOnlyStore,
     canonical_dumps,
@@ -23,7 +23,7 @@ from coldflow.docstore import (
     open_store,
     parse_document_line,
 )
-from coldflow.docstore.blobs import ChecksumMismatch
+from coldflow.docstore.blobs import ChecksumMismatch, checksum64, model_content_id
 
 
 def test_roundtrip_reopen_identity(tmp_path):
@@ -670,14 +670,15 @@ def test_encode_documents_checks_without_a_store():
         encode_documents("t", [{"_id": "a", "v": math.nan}])
 
 
+MIB = 1024 * 1024
+
+
 def blob_of(n_bytes: int) -> bytes:
     return bytes((i * 31 + 7) % 256 for i in range(n_bytes))
 
 
-@pytest.mark.parametrize(
-    "size",
-    [0, 1, MODEL_CHUNK_BYTES - 1, MODEL_CHUNK_BYTES, MODEL_CHUNK_BYTES + 1],
-)
+# Sizes up to just past 4 MiB: each is one line whatever its size.
+@pytest.mark.parametrize("size", [0, 1, 4 * MIB - 1, 4 * MIB, 4 * MIB + 1])
 def test_model_blob_roundtrip_sizes(tmp_path, size):
     data = blob_of(size)
     with open_store(tmp_path / "s") as store:
@@ -687,15 +688,17 @@ def test_model_blob_roundtrip_sizes(tmp_path, size):
     assert meta["size"] == size
 
 
-def test_nine_mib_blob_uses_three_chunks(tmp_path):
-    data = blob_of(9 * 1024 * 1024)
+def test_nine_mib_blob_is_one_line(tmp_path):
+    data = blob_of(9 * MIB)
     with open_store(tmp_path / "s") as store:
         model_id = store.put_model({"kind": "big"}, data)
-        manifest = store.get("models", model_id)
-        assert len(manifest["chunk_ids"]) == 3
-        assert manifest["total_bytes"] == len(data)
-        _, back = store.get_model(model_id)
-        assert back == data
+    assert sorted(p.name for p in (tmp_path / "s").glob("*.ndjson")) == ["models.ndjson"]
+    (line,) = (tmp_path / "s" / "models.ndjson").read_text().splitlines()
+    doc = json.loads(line)
+    assert sorted(doc) == ["_id", "checksum", "data", "meta", "total_bytes"]
+    assert (doc["_id"], doc["total_bytes"], doc["meta"]) == (model_id, len(data), {"kind": "big"})
+    with open_store(tmp_path / "s", read_only=True) as store:
+        assert store.get_model(model_id) == ({"kind": "big"}, data)
 
 
 def test_reput_identical_content_is_idempotent(tmp_path):
@@ -716,60 +719,38 @@ def test_created_field_does_not_change_model_id(tmp_path):
     assert a == b
 
 
-def test_tampered_chunk_detected(tmp_path):
-    data = blob_of(MODEL_CHUNK_BYTES + 512)
+def test_tampered_blob_detected(tmp_path):
+    data = blob_of(4096)
     with open_store(tmp_path / "s") as store:
         model_id = store.put_model({"kind": "m"}, data)
 
-    chunk_file = tmp_path / "s" / "model_chunks.ndjson"
-    lines = chunk_file.read_text().splitlines()
-    doc = json.loads(lines[0])
+    path = tmp_path / "s" / "models.ndjson"
+    doc = json.loads(path.read_text())
     payload = list(doc["data"])
     payload[10] = "A" if payload[10] != "A" else "B"
     doc["data"] = "".join(payload)
-    lines[0] = canonical_dumps(doc)
-    chunk_file.write_text("\n".join(lines) + "\n")
+    path.write_text(canonical_dumps(doc) + "\n")
 
     with open_store(tmp_path / "s", read_only=True) as store:
         with pytest.raises(ChecksumMismatch):
             store.get_model(model_id)
 
 
-def orphan_chunks(tmp_path, data):
-    """A store holding a model's chunks but no manifest, as a crash
-    between put_model's two writes leaves it; returns the chunk file."""
-    with open_store(tmp_path / "whole") as store:
-        store.put_model({"kind": "m"}, data)
+def test_chunked_model_manifest_raises_checksum_mismatch(tmp_path):
+    # Models were once a manifest of chunk ids in ``models`` plus base64
+    # chunks in ``model_chunks``. Such a manifest holds no ``data``.
+    data, meta = blob_of(1000), {"kind": "m"}
+    model_id = model_content_id(meta, data)
     (tmp_path / "s").mkdir()
-    chunks = tmp_path / "s" / "model_chunks.ndjson"
-    chunks.write_bytes((tmp_path / "whole" / "model_chunks.ndjson").read_bytes())
-    return chunks
-
-
-def test_put_model_retry_after_orphan_chunks(tmp_path):
-    data = blob_of(MODEL_CHUNK_BYTES + 512)
-    chunks = orphan_chunks(tmp_path, data)
-    before = chunks.read_bytes()
-    with open_store(tmp_path / "s") as store:
-        model_id = store.put_model({"kind": "m"}, data)
-        meta, back = store.get_model(model_id)
-        assert store.count("models") == 1
-    assert (meta, back) == ({"kind": "m"}, data)
-    assert chunks.read_bytes() == before
-
-
-def test_put_model_retry_rejects_a_differing_orphan_chunk(tmp_path):
-    data = blob_of(MODEL_CHUNK_BYTES + 512)
-    chunks = orphan_chunks(tmp_path, data)
-    lines = chunks.read_text().splitlines()
-    doc = json.loads(lines[1])
-    doc["data"] = "AAAA" + doc["data"][4:]
-    lines[1] = canonical_dumps(doc)
-    chunks.write_text("\n".join(lines) + "\n")
-    with open_store(tmp_path / "s") as store:
+    (tmp_path / "s" / "models.ndjson").write_text(canonical_dumps({
+        "_id": model_id, "model_id": model_id, "chunk_ids": [f"{model_id}.00000"],
+        "total_bytes": len(data), "checksum": checksum64(data), "meta": meta}) + "\n")
+    (tmp_path / "s" / "model_chunks.ndjson").write_text(canonical_dumps({
+        "_id": f"{model_id}.00000", "model_id": model_id, "seq": 0,
+        "data": base64.b64encode(data).decode("ascii")}) + "\n")
+    with open_store(tmp_path / "s", read_only=True) as store:
         with pytest.raises(ChecksumMismatch):
-            store.put_model({"kind": "m"}, data)
-        assert store.count("models") == 0
+            store.get_model(model_id)
 
 
 def test_unknown_model_raises_not_found(tmp_path):

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from coldflow.fridgesim import (
-    FLEET_CSV_SCHEMA,
+    CADENCE_S,
+    K_COOL_RANGE,
+    K_WARM_RANGE,
+    RAMP_S,
+    START_TS,
+    T_SET_LOW_RANGE,
     FaultPlan,
     FridgeSpec,
     SimConfig,
     WORKORDER_PATTERNS,
     fleet_specs,
-    noise_free,
     plan_faults,
     simulate_fleet,
     simulate_fridge,
@@ -61,15 +65,24 @@ def test_fleet_specs_deterministic_and_in_range():
     assert [s.fridge_id for s in specs[:2]] == ["F0000", "F0001"]
     assert specs[0].store_id == "S000" and specs[10].store_id == "S001"
     for spec in specs:
-        assert config.k_cool_range[0] <= spec.k_cool <= config.k_cool_range[1]
-        assert config.k_warm_range[0] <= spec.k_warm <= config.k_warm_range[1]
-        assert config.t_set_low_range[0] <= spec.t_set_low <= config.t_set_low_range[1]
+        assert K_COOL_RANGE[0] <= spec.k_cool <= K_COOL_RANGE[1]
+        assert K_WARM_RANGE[0] <= spec.k_warm <= K_WARM_RANGE[1]
+        assert T_SET_LOW_RANGE[0] <= spec.t_set_low <= T_SET_LOW_RANGE[1]
         assert spec.t_set_low < spec.t_set_high < spec.threshold_temp < spec.t_ambient
         assert spec.t_set_low <= spec.initial_temp <= spec.t_set_high
-        assert spec.defrost_phase_s % config.cadence_s == 0
+        assert spec.defrost_phase_s % CADENCE_S == 0
         assert 0 <= spec.defrost_phase_s < 21600
     # Different seeds sample different fleets.
     assert fleet_specs(SimConfig(n_fridges=25, seed=4)) != specs
+
+
+def test_noise_off_zeroes_only_the_noise_sigma():
+    # The sigma is drawn with noise off too, so every other parameter of
+    # every fridge is the noisy fleet's.
+    noisy = fleet_specs(SimConfig(n_fridges=20, seed=4))
+    quiet = fleet_specs(SimConfig(n_fridges=20, seed=4, noise=False))
+    assert all(spec.noise_sigma > 0.0 for spec in noisy)
+    assert quiet == [replace(spec, noise_sigma=0.0) for spec in noisy]
 
 
 def test_simulation_is_deterministic():
@@ -79,7 +92,7 @@ def test_simulation_is_deterministic():
 
 
 def test_noise_free_band_and_defrost_cadence():
-    config = noise_free(SimConfig(days=3.0))
+    config = SimConfig(days=3.0, noise=False)
     spec = make_spec()
     readings = simulate_fridge(spec, config)
     assert len(readings) == 3 * 1440
@@ -87,7 +100,7 @@ def test_noise_free_band_and_defrost_cadence():
     assert readings.store_ids == [spec.store_id] * len(readings)
 
     temps = readings.air_on
-    warm_step = config.cadence_s * spec.k_warm * (spec.t_ambient - spec.t_set_low)
+    warm_step = CADENCE_S * spec.k_warm * (spec.t_ambient - spec.t_set_low)
     assert min(temps) >= spec.t_set_low - 1e-9
     assert max(temps) <= spec.threshold_temp + warm_step + 1e-9
 
@@ -106,7 +119,7 @@ def test_noise_free_band_and_defrost_cadence():
 
 
 def test_defrost_durations_match_closed_form():
-    config = noise_free(SimConfig(days=2.0))
+    config = SimConfig(days=2.0, noise=False)
     spec = make_spec()
     readings = simulate_fridge(spec, config)
     flags = readings.defrost
@@ -117,9 +130,9 @@ def test_defrost_durations_match_closed_form():
         while end < len(flags) and flags[end] == 1:
             end += 1
         assert end < len(flags)
-        duration = (end - start) * config.cadence_s
+        duration = (end - start) * CADENCE_S
         expected = true_time_to_threshold(spec, readings.air_on[start])
-        assert abs(duration - expected) <= config.cadence_s
+        assert abs(duration - expected) <= CADENCE_S
 
 
 def test_true_time_to_threshold_guards():
@@ -146,7 +159,7 @@ def test_fault_plan_ramps_and_truncates():
     fault = FaultPlan(
         fridge_id=spec.fridge_id,
         fault_name="icepack",
-        fault_ts=config.start_ts + 3.0 * 86400.0,
+        fault_ts=START_TS + 3.0 * 86400.0,
     )
     healthy = simulate_fridge(spec, config)
     faulted = simulate_fridge(spec, config, fault=fault)
@@ -154,8 +167,8 @@ def test_fault_plan_ramps_and_truncates():
     assert faulted.timestamps[-1] < fault.fault_ts
     assert len(faulted) == 3 * 1440
 
-    ramp_start = fault.fault_ts - fault.ramp_seconds
-    n_prefix = int((ramp_start - config.start_ts) / config.cadence_s) + 1
+    ramp_start = fault.fault_ts - RAMP_S
+    n_prefix = int((ramp_start - START_TS) / CADENCE_S) + 1
     # Every column, extras included, matches bit for bit up to the ramp.
     assert faulted[:n_prefix] == healthy[:n_prefix]
     assert faulted.air_on[n_prefix:] != healthy.air_on[n_prefix:len(faulted)]
@@ -172,8 +185,8 @@ def test_plan_faults_and_workorders():
     assert plans == plan_faults(specs, config, n_faults=5, seed=21)
     assert len({p.fridge_id for p in plans}) == 5
     for plan in plans:
-        offset = plan.fault_ts - config.start_ts
-        assert offset % config.cadence_s == 0
+        offset = plan.fault_ts - START_TS
+        assert offset % CADENCE_S == 0
         assert 3 * 86400.0 <= offset < 6 * 86400.0
 
     orders = workorders_for_plans(plans, specs, seed=21, noise_orders=3)
@@ -198,6 +211,6 @@ def test_csv_round_trip_is_exact(tmp_path):
     readings = simulate_fridge(spec, config)
     path = tmp_path / "fleet.csv"
     write_telemetry_csv(readings, path)
-    parsed, rejects = parse_telemetry_csv(path.read_text(), FLEET_CSV_SCHEMA)
+    parsed, rejects = parse_telemetry_csv(path.read_text())
     assert rejects == []
     assert parsed == readings

@@ -530,7 +530,9 @@ def test_build_stages_widths_and_order():
     assert [x.name for x in stages[0].scripts] == ["wrangle_dsr"]
 
 
-def test_learn_and_infer_builtins_return_their_task_results(tmp_path):
+def wrangled_one_model_store(tmp_path):
+    """A config file naming one small model, and a store simulated and
+    wrangled with it; returns (config path, config, store path)."""
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "seed": 11,
@@ -541,10 +543,16 @@ def test_learn_and_infer_builtins_return_their_task_results(tmp_path):
         "infer": [{"model": "m", "split": "test"}],
     }))
     cfg = load_config(str(path))
-    builtins, by_cli = tmp_path / "builtins", tmp_path / "by-cli"
-    with open_store(str(builtins)) as store:
+    store_path = tmp_path / "builtins"
+    with open_store(str(store_path)) as store:
         pipelines.simulate_into_store(store, cfg)
         pipelines.wrangle(store, cfg)
+    return path, cfg, store_path
+
+
+def test_learn_and_infer_builtins_return_their_task_results(tmp_path):
+    path, cfg, builtins = wrangled_one_model_store(tmp_path)
+    by_cli = tmp_path / "by-cli"
     shutil.copytree(builtins, by_cli)
     assert main(["learn", "--config", str(path), "--store", str(by_cli)]) == 0
 
@@ -563,8 +571,23 @@ def test_learn_and_infer_builtins_return_their_task_results(tmp_path):
     assert n > 0
     assert results["infer:m"] == {"model": "m", "split": "test", "predictions": n,
                                   "inserted": n, "skipped": 0}
-    for name in ("model_index.ndjson", "models.ndjson", "model_chunks.ndjson"):
+    for name in ("model_index.ndjson", "models.ndjson"):
         assert (builtins / name).read_bytes() == (by_cli / name).read_bytes()
+
+
+def test_learn_after_a_torn_model_line_stores_the_clean_model(tmp_path):
+    # A crash inside put_model's one append leaves half a line: the next
+    # writer truncates it, and learn stores the same model id and bytes.
+    path, cfg, clean = wrangled_one_model_store(tmp_path)
+    torn = tmp_path / "torn"
+    shutil.copytree(clean, torn)
+    assert main(["learn", "--config", str(path), "--store", str(clean)]) == 0
+    line = (clean / "models.ndjson").read_bytes()
+    assert line.count(b"\n") == 1 and not (clean / "model_chunks.ndjson").exists()
+    (torn / "models.ndjson").write_bytes(line[:len(line) // 2])
+    assert main(["learn", "--config", str(path), "--store", str(torn)]) == 0
+    for name in ("models.ndjson", "model_index.ndjson"):
+        assert (torn / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_wrangle_dsr_empty_store_raises(tmp_path):
@@ -632,5 +655,5 @@ def test_run_twice_stores_byte_identical(tmp_path):
         stores.append({f.name: f.read_bytes() for f in path.glob("*.ndjson")})
     first, second = stores
     assert {"dsr_examples.ndjson", "fault_examples.ndjson", "models.ndjson",
-            "model_index.ndjson", "model_chunks.ndjson"} <= set(first)
+            "model_index.ndjson"} <= set(first)
     assert first == second

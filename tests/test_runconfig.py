@@ -1,6 +1,8 @@
 """Config validation: strict keys, located errors, full defaulting."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -159,3 +161,33 @@ def test_load_config_reads_json_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+def readme_config_rows() -> dict:
+    """Each row of README's configuration table: its key -> its text."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `(\w+)` *\|(.*)\|$", table, re.M))
+
+
+def test_readme_config_table_names_every_validated_key():
+    cfg = validate_config({
+        "seed": 1, "pool_width": 2, "store_path": "s", "log_level": "info",
+        "simulate": {"n_fridges": 2, "days": 1, "faults": {"count": 1}},
+        "wrangle": {}, "faults": {},
+        "learn": [{"name": "m", "task": "regression"}],
+        "infer": [{"model": "m"}],
+        "select": {"model": "m", "target_kw": 1.0},
+        "report": {"models": ["m"]},
+        "stages": [{"name": "post", "scripts": [{"command": ["true"]}]}],
+    })
+    rows = readme_config_rows()
+    assert sorted(cfg) == sorted(rows)
+    keys = [(name, cfg[name]) for name in ("simulate", "wrangle", "faults", "select",
+                                           "report")]
+    keys += [("simulate", cfg["simulate"]["faults"]), ("learn", cfg["learn"][0]),
+             ("infer", cfg["infer"][0]), ("stages", cfg["stages"][0]),
+             ("stages", cfg["stages"][0]["scripts"][0])]
+    unnamed = [(row, key) for row, section in keys for key in section
+               if f"`{key}`" not in rows[row]]
+    assert unnamed == []

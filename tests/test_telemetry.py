@@ -18,7 +18,6 @@ from coldflow.docstore import (
 )
 from coldflow.fridgesim import SimConfig, fleet_specs, plan_faults, simulate_fleet
 from coldflow.telemetry import (
-    CsvSchema,
     MissingColumn,
     Setpoints,
     UnsortedInput,
@@ -27,26 +26,19 @@ from coldflow.telemetry import (
 )
 
 # A single-unit logger dump: timestamped case temperatures, a handful of
-# uninterpreted sensor channels, and a defrost flag column.
-BARN_CSV = """TimeStamp,air_on,air_off,foodTmp,shelfTmp,Def,Def1
-1488990480.0,3.8,1.7,3.8,2.5,17.2,0
-1488990540.0,3.9,1.8,3.8,2.5,17.2,0
-1488990600.0,4.1,2.0,3.9,2.6,17.3,1
+# uninterpreted sensor channels, a defrost flag column, and a unit with no
+# store.
+BARN_CSV = """TimeStamp,airOnTemp,airOffTemp,foodTmp,shelfTmp,Def1,Def,fridgeId,storeId
+1488990480.0,3.8,1.7,3.8,2.5,17.2,0,barn1,
+1488990540.0,3.9,1.8,3.8,2.5,17.2,0,barn1,
+1488990600.0,4.1,2.0,3.9,2.6,17.3,1,barn1,
 """
 
-BARN_SCHEMA = CsvSchema(
-    columns={
-        "timestamp": "TimeStamp",
-        "air_on": "air_on",
-        "air_off": "air_off",
-        "defrost": "Def1",
-    },
-    defaults={"fridge_id": "barn1"},
-)
+HEADER = "TimeStamp,airOnTemp,airOffTemp,Def,fridgeId,storeId"
 
 
 def test_parse_single_unit_dump():
-    readings, rejects = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
+    readings, rejects = parse_telemetry_csv(BARN_CSV)
     assert rejects == []
     assert len(readings) == 3
     assert readings.timestamps[0] == 1488990480.0
@@ -55,26 +47,22 @@ def test_parse_single_unit_dump():
     assert readings.defrost == [0, 0, 1]
     assert readings.fridge_ids == ["barn1"] * 3
     assert readings.store_ids == [None] * 3
-    # Unmapped channels ride along untouched, in header order.
-    assert list(readings.extra) == ["foodTmp", "shelfTmp", "Def"]
-    assert readings.extra["Def"] == [17.2, 17.2, 17.3]
+    # Every other channel rides along untouched, in header order.
+    assert list(readings.extra) == ["foodTmp", "shelfTmp", "Def1"]
+    assert readings.extra["Def1"] == [17.2, 17.2, 17.3]
     assert readings.extra["foodTmp"][0] == 3.8
 
 
 def test_parse_rejects_a_header_that_names_a_column_twice():
-    for header in ("TimeStamp,air_on,air_on,air_off,Def1",
-                   "TimeStamp,air_on,air_off,Def1,power_kw,power_kw"):
-        with pytest.raises(MissingColumn, match="column '(air_on|power_kw)' appears twice"):
-            parse_telemetry_csv(header + "\n1.0,3.0,9.0,1.0,0,2.0\n", BARN_SCHEMA)
+    for header in ("TimeStamp,airOnTemp,airOnTemp,airOffTemp,Def,fridgeId,storeId",
+                   HEADER + ",power_kw,power_kw"):
+        with pytest.raises(MissingColumn, match="column '(airOnTemp|power_kw)' appears twice"):
+            parse_telemetry_csv(header + "\n1.0,3.0,9.0,1.0,0,A,S,2.0\n")
 
 
 def test_bad_required_field_rejects_that_row_only():
-    csv_text = "ts,on,off,d,f\n1.0,3.5,1.0,0,A\n2.0,abc,1.1,0,A\n"
-    schema = CsvSchema(
-        columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
-                 "defrost": "d", "fridge_id": "f"}
-    )
-    readings, rejects = parse_telemetry_csv(csv_text, schema)
+    csv_text = HEADER + "\n1.0,3.5,1.0,0,A,\n2.0,abc,1.1,0,A,\n"
+    readings, rejects = parse_telemetry_csv(csv_text)
     assert len(readings) == 1
     assert len(rejects) == 1
     assert rejects[0].row == 2
@@ -82,25 +70,19 @@ def test_bad_required_field_rejects_that_row_only():
 
 
 def test_defrost_flag_must_be_binary():
-    csv_text = "ts,on,off,d,f\n1.0,3.5,1.0,2,A\n"
-    schema = CsvSchema(
-        columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
-                 "defrost": "d", "fridge_id": "f"}
-    )
-    readings, rejects = parse_telemetry_csv(csv_text, schema)
+    readings, rejects = parse_telemetry_csv(HEADER + "\n1.0,3.5,1.0,2,A,\n")
     assert len(readings) == 0
     assert rejects[0].row == 1
 
 
 def test_missing_required_column_raises():
-    with pytest.raises(MissingColumn):
-        parse_telemetry_csv("TimeStamp,air_on\n1,2\n", BARN_SCHEMA)
-    with pytest.raises(MissingColumn):
-        parse_telemetry_csv(
-            "ts,on,off,d\n",
-            CsvSchema(columns={"timestamp": "ts", "air_on": "on",
-                               "air_off": "off", "defrost": "d"}),
-        )
+    with pytest.raises(MissingColumn, match="^empty CSV: no header row$"):
+        parse_telemetry_csv("")
+    # The first missing column in check order is named.
+    with pytest.raises(MissingColumn, match="^required column 'airOffTemp' not in header$"):
+        parse_telemetry_csv("TimeStamp,airOnTemp,fridgeId\n1,2,A\n")
+    with pytest.raises(MissingColumn, match="^required column 'storeId' not in header$"):
+        parse_telemetry_csv("TimeStamp,airOnTemp,airOffTemp,Def,fridgeId\n")
 
 
 GOOD = ["1.5", " 2.25 ", "-3", "0", "1e3", "7.000000000000001"]
@@ -145,61 +127,50 @@ def _csv_corpus(rng, header, rows=600):
     return "\n".join(lines) + "\n"
 
 
-CORPUS_SCHEMAS = [
-    (
-        [("airOnTemp", "number"), ("TimeStamp", "number"), ("fridgeId", "fridge"),
-         ("Def", "defrost"), ("power_kw", "number"), ("storeId", "store"),
-         ("airOffTemp", "number"), ("note", "text")],
-        CsvSchema(columns={"timestamp": "TimeStamp", "fridge_id": "fridgeId",
-                           "store_id": "storeId", "air_on": "airOnTemp",
-                           "air_off": "airOffTemp", "defrost": "Def"}),
-    ),
-    (
-        [("ts", "number"), ("on", "number"), ("off", "number"), ("d", "defrost"),
-         ("probe", "text")],
-        CsvSchema(columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
-                           "defrost": "d"},
-                  defaults={"fridge_id": 17, "store_id": "S9"}),
-    ),
-    (
-        [("d", "defrost"), ("ts", "number"), ("off", "number"), ("on", "number")],
-        CsvSchema(columns={"timestamp": "ts", "air_on": "on", "air_off": "off",
-                           "defrost": "d"},
-                  defaults={"fridge_id": "barn1"}),
-    ),
+# The fleet columns in three orders: with numeric and text extras, as the
+# simulator writes them, and with no extra at all.
+CORPUS_HEADERS = [
+    [("airOnTemp", "number"), ("TimeStamp", "number"), ("fridgeId", "fridge"),
+     ("Def", "defrost"), ("power_kw", "number"), ("storeId", "store"),
+     ("airOffTemp", "number"), ("note", "text")],
+    [("TimeStamp", "number"), ("fridgeId", "fridge"), ("storeId", "store"),
+     ("airOnTemp", "number"), ("airOffTemp", "number"), ("Def", "defrost"),
+     ("power_kw", "number")],
+    [("Def", "defrost"), ("storeId", "store"), ("TimeStamp", "number"),
+     ("airOffTemp", "number"), ("fridgeId", "fridge"), ("airOnTemp", "number")],
 ]
 
 
-@pytest.mark.parametrize("case", range(len(CORPUS_SCHEMAS)))
+@pytest.mark.parametrize("case", range(len(CORPUS_HEADERS)))
 def test_parser_matches_naive_reference(case):
-    header, schema = CORPUS_SCHEMAS[case]
+    header = CORPUS_HEADERS[case]
     reasons = set()
     for seed in range(5):
         text = _csv_corpus(random.Random(f"{case}:{seed}"), header)
-        readings, rejects = parse_telemetry_csv(text, schema)
-        want_rows, want_rejects = naive_csv.parse_telemetry_csv(text, schema)
+        readings, rejects = parse_telemetry_csv(text)
+        want_rows, want_rejects = naive_csv.parse_telemetry_csv(text)
         assert rows_of(readings) == want_rows
         assert readings == readings_of(want_rows)
         assert rejects == want_rejects
         assert want_rows and rejects
         reasons.update(r.reason.split(" ")[0] for r in rejects)
     # Each kind of reject came up: unparseable, non-finite, bad defrost
-    # flag, short row, and (with a fridge column) an empty fridge id.
-    assert {"could", "non-finite", "defrost", "list"} <= reasons
-    assert ("empty" in reasons) == ("fridge_id" in schema.columns)
+    # flag, short row, and an empty fridge id.
+    assert {"could", "non-finite", "defrost", "list", "empty"} <= reasons
 
 
-def test_parser_keeps_check_order_and_defaults():
-    schema = CORPUS_SCHEMAS[1][1]
-    text = "ts,on,off,d,probe\n1,nan,abc,2,x\n2,1,abc,0.5,x\n3,1,1,2,\n4,1,1,1,y\n"
-    readings, rejects = parse_telemetry_csv(text, schema)
+def test_parser_keeps_check_order():
+    text = (HEADER + ",probe\n1,nan,abc,2,,S9,x\n2,1,abc,0.5,,S9,x\n3,1,1,2,,S9,\n"
+            "4,1,1,1,F17,S9,y\n5,1,1,1, ,S9,y\n")
+    readings, rejects = parse_telemetry_csv(text)
     assert [r.reason for r in rejects] == [
         "non-finite value 'nan'",
         "could not convert string to float: 'abc'",
         "defrost flag 2.0 not in {0, 1}",
+        "empty fridge id",
     ]
     (only,) = rows_of(readings)
-    assert (only.fridge_id, only.store_id, only.extra) == ("17", "S9", {"probe": "y"})
+    assert (only.fridge_id, only.store_id, only.extra) == ("F17", "S9", {"probe": "y"})
 
 
 def rec(fridge, ts, on=3.0, off=1.0, defrost=0):
@@ -291,8 +262,7 @@ def test_derive_features_matches_the_derived_record_path():
     plans = plan_faults(fleet_specs(sim), sim, 2, 11)
     simulated = [r for _, readings in simulate_fleet(sim, fault_plans=plans)
                  for r in rows_of(readings)]
-    header, schema = CORPUS_SCHEMAS[0]
-    parsed, _ = parse_telemetry_csv(_csv_corpus(random.Random(3), header), schema)
+    parsed, _ = parse_telemetry_csv(_csv_corpus(random.Random(3), CORPUS_HEADERS[0]))
     parsed = sorted(rows_of(parsed), key=lambda r: (r.fridge_id, r.timestamp))
     # The corpus repeats timestamps, and a repeated _id is refused as
     # encode_documents refuses it: keep the first reading of each.
@@ -383,7 +353,7 @@ def test_derive_features_raises_what_encode_documents_raises(records):
 
 
 def test_document_roundtrip_identity(tmp_path):
-    readings, _ = parse_telemetry_csv(BARN_CSV, BARN_SCHEMA)
+    readings, _ = parse_telemetry_csv(BARN_CSV)
     encoded = derive_features(readings, Setpoints(3.0, 1.0))
     assert encoded.ids[0] == "barn1:1488990480.0"
     docs = [parse_document_line(line) for line in encoded.lines]
