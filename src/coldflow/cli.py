@@ -16,8 +16,8 @@ commands load ``coldflow.pipelines`` in full.
 ``ingest`` treats each CSV file as one unit of work and runs the units on
 ``pool_width`` processes, this one included, through
 :func:`coldflow.processes.in_order_on_processes`, which ``wrangle`` also
-uses to read the stored telemetry; the results are stored in file order,
-so the store is the same at any width.
+uses. A file's batches come over a pipe, are stored in file order, so the
+store is the same at any width, and are freed before the next file's.
 
 Resolution order for paths: an explicit flag wins, then the environment
 (STORE_PATH / CONFIG_PATH, set by the orchestrator when this CLI runs as
@@ -231,8 +231,8 @@ def cmd_ingest(args) -> int:
             open_store(store_path) as store:
         for batches, rejects in results:
             rejected += rejects
-            for telemetry, ratings in batches:
-                count, _ = pipelines.store_fridge_batch(store, telemetry, ratings)
+            while batches:  # each batch is freed once stored, before the next file
+                count, _ = pipelines.store_fridge_batch(store, *batches.pop(0))
                 inserted += count
         if orders is not None:
             orders_in, _ = pipelines.ingest_workorders(

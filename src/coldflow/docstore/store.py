@@ -406,9 +406,11 @@ class DocumentStore:
         ``docs`` is a list of documents, checked and encoded here by
         :func:`encode_documents`, or an :class:`Encoded` batch. Every _id is
         then checked against the collection; only then are the lines
-        appended and flushed, so a failed call inserts nothing. Afterwards
-        the view keeps the collection's ids but not its documents, and the
-        next read of them parses the file.
+        appended one by one, with no joined copy, and flushed, so a failed
+        call inserts nothing. A crash mid-append leaves a prefix of the
+        lines and at most one torn line, which the next writer truncates;
+        ``insert_new`` then stores the rest. Afterwards the view keeps the
+        ids but not the documents, which the next read parses again.
         """
         if self.read_only:
             raise ReadOnlyStore("insert_many on a read-only handle")
@@ -419,7 +421,7 @@ class DocumentStore:
                 if doc_id in coll.by_id:
                     raise DuplicateId(f"{collection}: _id {doc_id!r} already present")
             with open(self._file_for(collection), "a", encoding="utf-8") as fh:
-                fh.write("".join(encoded.lines))
+                fh.writelines(encoded.lines)
                 fh.flush()
                 os.fsync(fh.fileno())
             coll.docs = None
@@ -450,12 +452,12 @@ class DocumentStore:
         line by line as a first touch checks them, and its results come
         back in file order. The first range is read here and the others on
         forked workers (:func:`coldflow.processes.in_order_on_processes`),
-        so ``fn`` and what it returns must pickle. The documents never
-        enter the view, and a worker uses no handle. An _id must be unique
-        across the whole file: after a duplicate, a corrupt line or a
-        failing ``fn``, the file is checked once more as a first touch
-        checks it, so a CorruptCollection names the path and line exactly
-        as ``count`` or ``find_all`` would.
+        whose results must pickle: this thread reads them from pipes, one
+        at a time. The documents never enter the view, and a worker uses
+        no handle. An _id must be unique across the whole file: after a
+        duplicate, a corrupt line or a failing ``fn``, the file is checked
+        once more as a first touch checks it, so a CorruptCollection names
+        the path and line exactly as ``count`` or ``find_all`` would.
         """
         with self._view.lock:
             if self._closed:

@@ -132,13 +132,19 @@ def _rating_docs(readings: Readings) -> list[dict]:
 
 
 def ingest_workorders(store, orders) -> tuple[int, int]:
-    """Store (raw_text, timestamp) work orders with stable positional ids."""
-    ordered = sorted(orders, key=lambda pair: (pair[1], pair[0]))
+    """Store the (raw_text, timestamp) work orders not stored yet, ordered by
+    timestamp and text, with positional ids after the stored ones. Returns
+    (inserted, skipped)."""
+    stored = store.find_all(WORKORDERS)
+    known = {(doc["raw_text"], doc["timestamp"]) for doc in stored}
+    ordered = sorted((pair for pair in orders if tuple(pair) not in known),
+                     key=lambda pair: (pair[1], pair[0]))
     docs = [
         {"_id": f"wo:{i:06d}", "raw_text": text, "timestamp": ts}
-        for i, (text, ts) in enumerate(ordered)
+        for i, (text, ts) in enumerate(ordered, start=len(stored))
     ]
-    return insert_new(store, WORKORDERS, docs)
+    inserted, _ = insert_new(store, WORKORDERS, docs)
+    return inserted, len(orders) - inserted
 
 
 def telemetry_blocks(store, feature_names, width: int = 1) -> dict:
@@ -265,10 +271,9 @@ def _cut_fault_examples(store, blocks: dict, config: dict) -> dict:
     """Join work orders to the blocks and store labeled fault windows."""
     f = config["faults"]
     w = config["wrangle"]
-    orders = [
-        Workorder(doc["raw_text"], doc["timestamp"])
-        for doc in store.find_all(WORKORDERS)
-    ]
+    orders = sorted(
+        (Workorder(doc["raw_text"], doc["timestamp"]) for doc in store.find_all(WORKORDERS)),
+        key=lambda order: (order.timestamp, order.raw_text))
     examples, stats = merge_faults(
         blocks,
         orders,

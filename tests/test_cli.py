@@ -2,11 +2,11 @@
 
 import itertools
 import json
-import multiprocessing
 import os
 
 import pytest
 from naive_csv import rows_of
+from test_processes import assert_no_child_process
 from test_telemetry import documents_through_derived_records
 
 from coldflow.cli import DEFAULT_TARGET_OFF, DEFAULT_TARGET_ON, main
@@ -117,6 +117,40 @@ def test_wrangle_prints_fault_rejects_by_reason(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "'positives': 2, 'negatives': 2, 'skipped_workorders': 0, 'unmatched_fridges': 1, " \
         "'positive_rejects': {'insufficient_history': 1}," in out
+
+
+def test_a_second_workorder_ingest_stores_its_orders(tmp_path, capsys):
+    # The simulation stores two fault orders; a later call adds two more,
+    # one too early for a window and one for a fridge with no telemetry.
+    config = write_config(tmp_path, extra={
+        "simulate": {"n_fridges": 3, "days": 4, "faults": {"count": 2, "noise_workorders": 0}},
+        "faults": {"horizon_s": 21600.0, "window_len": 16, "test_fraction": 0.25,
+                   "val_fraction": 0.25},
+    })
+    later = [("store S000 fridge F0001 icepack fault", START_TS + 3600.0),
+             ("store S009 fridge F0999 icepack fault", START_TS + 86400.0)]
+    two_calls, one_call = tmp_path / "two-calls", tmp_path / "one-call"
+    one_call.mkdir()
+    with open_store(str(two_calls)) as handle:
+        simulate_into_store(handle, load_config(config))
+        for name in ("telemetry.ndjson", "fridge_ratings.ndjson"):
+            (one_call / name).write_bytes((two_calls / name).read_bytes())
+        simulated = [(doc["raw_text"], doc["timestamp"]) for doc in handle.find_all("workorders")]
+        assert len(simulated) == 2
+        assert ingest_workorders(handle, later) == (2, 0)
+        assert ingest_workorders(handle, later + simulated) == (0, 4)
+        assert handle.count("workorders") == 4
+    with open_store(str(one_call)) as handle:
+        assert ingest_workorders(handle, later + simulated) == (4, 0)
+    summaries = []
+    for store in (two_calls, one_call):
+        assert main(["wrangle", "--config", config, "--store", str(store)]) == 0
+        summaries.append(capsys.readouterr().out)
+    assert "'positives': 2, 'negatives': 2, 'skipped_workorders': 0, 'unmatched_fridges': 1, " \
+        "'positive_rejects': {'insufficient_history': 1}," in summaries[0]
+    assert summaries[1] == summaries[0]
+    assert (one_call / "fault_examples.ndjson").read_bytes() == \
+        (two_calls / "fault_examples.ndjson").read_bytes()
 
 
 def test_simulate_ingest_csv_round_trip(tmp_path, capsys):
@@ -284,7 +318,7 @@ def test_ingest_stores_the_same_bytes_at_any_pool_width(tmp_path, capsys):
         summaries.append(capsys.readouterr().out.replace(str(store), "STORE"))
         stored.append({name: (store / name).read_bytes()
                        for name in ("telemetry.ndjson", "fridge_ratings.ndjson")})
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
     assert stored[1] == stored[0] and stored[2] == stored[0]
     assert stored[0]["telemetry.ndjson"] == reference_telemetry(data)
     assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
@@ -305,7 +339,7 @@ def test_ingest_failing_in_a_worker_stops_at_that_file(tmp_path, capsys, width):
     code, pooled = ingest_at_width(tmp_path, data, width)
     assert code == 1
     assert capsys.readouterr().err == serial_err
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert (pooled / "telemetry.ndjson").read_bytes() == \
         (serial / "telemetry.ndjson").read_bytes()
     with open_store(str(pooled), read_only=True) as store:
@@ -330,6 +364,31 @@ def test_ingest_names_the_csv_a_worker_failed_on(tmp_path, capsys, content, mess
     code, store = ingest_at_width(tmp_path, data, 2)
     assert code == 1
     assert f"error: {bad}: {message}" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     for name in ("telemetry.ndjson", "fridge_ratings.ndjson"):
         assert (store / name).read_bytes() == (alone / name).read_bytes()
+
+
+@pytest.mark.parametrize("torn", [0, 40], ids=["at-a-line-end", "mid-line"])
+def test_ingest_after_an_append_cut_short_stores_the_clean_bytes(tmp_path, capsys, caplog,
+                                                                 torn):
+    # e.csv, the last file, is one batch of F4's 24 readings. A crash ten
+    # lines before the batch's end leaves the lines before, ``torn`` bytes
+    # of the next one, and no rating of the batch.
+    data = csv_fleet(tmp_path)
+    code, clean = ingest_at_width(tmp_path, data, 2)
+    assert code == 0
+    telemetry = (clean / "telemetry.ndjson").read_bytes().splitlines(keepends=True)
+    ratings = (clean / "fridge_ratings.ndjson").read_bytes().splitlines(keepends=True)
+    assert {json.loads(line)["fridge_id"] for line in telemetry[-24:] + ratings[-1:]} == {"F4"}
+    crashed = tmp_path / "crashed"
+    crashed.mkdir()
+    (crashed / "telemetry.ndjson").write_bytes(b"".join(telemetry[:-10]) + telemetry[-10][:torn])
+    (crashed / "fridge_ratings.ndjson").write_bytes(b"".join(ratings[:-1]))
+    capsys.readouterr()
+    assert main(["ingest", "--store", str(crashed), "--from", str(data)]) == 0
+    assert "ingested 10 telemetry records" in capsys.readouterr().out
+    for name in ("telemetry.ndjson", "fridge_ratings.ndjson"):
+        assert (crashed / name).read_bytes() == (clean / name).read_bytes()
+    truncated = f"telemetry.ndjson:{len(telemetry) - 9}: truncated an incomplete final line"
+    assert (truncated in caplog.text) == bool(torn)

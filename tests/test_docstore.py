@@ -9,6 +9,7 @@ import sys
 import threading
 
 import pytest
+from test_processes import assert_no_child_process
 
 from coldflow.docstore import (
     CorruptCollection,
@@ -606,14 +607,12 @@ def test_map_ranges_reads_each_document_once_in_file_order(tmp_path):
 
 
 def test_map_ranges_workers_leave_the_lock_and_no_process(tmp_path):
-    import multiprocessing
-
     _, docs = ranged_store(tmp_path)
     lock = tmp_path / "s" / ".lock"
     with open_store(tmp_path / "s") as store:
         parts = store.map_ranges("t", list, 3)
         assert lock.read_text() == str(os.getpid())
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         store.insert_many("t", [{"_id": "late"}])
     assert [doc for part in parts for doc in part] == docs
     assert not lock.exists()

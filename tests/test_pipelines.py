@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import random
 import shutil
 
@@ -168,7 +169,6 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
     # Four fridges ingested in out-of-order batches, then one fridge with
     # int timestamps, out of order and with ties, stored last: at width 2
     # only the second range holds int timestamps.
-    import concurrent.futures
     import threading
 
     setpoints = Setpoints(3.0, 1.0)
@@ -183,14 +183,14 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
             {"_id": f"F9:{i}", "fridge_id": "F9", "store_id": None, "timestamp": stamp,
              "defrost_state": 0, "air_on_temperature": float(i), "air_off_temperature": 2.0}
             for i, stamp in enumerate(ints)])
-    pools = []
+    forks = []
+    fork = os.fork
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     names = ("air_on_temperature", "air_off_temperature", "air_on_diff", "power_kw")
 
     def read(width):
@@ -200,9 +200,9 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
                  b.features.tobytes(), b.store_ids) for fid, b in blocks.items()]
 
     one = read(1)
-    assert pools == []
+    assert forks == []
     two = read(2)
-    assert len(pools) == 1
+    assert len(forks) == 1
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -211,7 +211,7 @@ def test_telemetry_blocks_read_the_same_at_any_width(tmp_path, monkeypatch):
     finally:
         stop.set()
         other.join()
-    assert len(pools) == 1
+    assert len(forks) == 1
     with open_store(str(tmp_path / "s"), read_only=True) as store:
         want = blocks_through_group_match_sort(store, names)
     assert [fid for fid, *_ in one] == ["F0", "F1", "F10", "F2", "F9"] == list(want)
