@@ -2,7 +2,9 @@
 
 Layout: a store is a directory; each collection ``name`` lives in
 ``<store>/name.ndjson`` with one canonical document per line in insertion
-order. ``<store>/.lock`` holds the writer pid while a writer handle is open.
+order. ``<store>/.lock`` carries the writer lock, an exclusive ``flock``
+that the kernel releases when its holder closes the file or dies. The file
+stays, naming the pid of its last holder.
 
 Collections load lazily: opening a store takes the lock (writers) and
 nothing more. A collection's file is parsed the first time a handle's view
@@ -31,14 +33,18 @@ processes, and returns what a caller's function made of each range's
 documents (the wrangle stage's telemetry columns), checking every line as
 a first touch does.
 
-Concurrency contract: one writer process at a time (advisory lock file),
-any number of readers. Within a process the lock is reentrant: several
+Concurrency contract: one writer process at a time (the flock on
+``.lock``), any number of readers. A crashed writer blocks no one: no pid
+is judged. Within a process the lock is reentrant: several
 writer handles may coexist, on one thread or several, and they share
-one view of the store, held with the lock file: each collection is parsed
+one view of the store, held with the lock: each collection is parsed
 once, and every read, id check and append of every writer handle runs
 under the view's one lock. So a writer handle sees every other writer
 handle's batches, whole, and two handles can never store the same _id.
-The view goes when the last writer handle closes. A read-only handle keeps
+The view and the lock go when the last writer handle closes. A forked
+child inherits neither: it closes its copies of the lock's descriptors
+without unlocking them, so its writer ``open_store`` raises LockHeld while
+the parent writes, as another process's would. A read-only handle keeps
 a private view: each collection as it was flushed at the handle's first
 touch of it; reopen to see later writes. A closed handle refuses every
 read and write.
@@ -46,6 +52,7 @@ read and write.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import logging
 import os
@@ -62,7 +69,7 @@ log = logging.getLogger(__name__)
 
 
 class LockHeld(Exception):
-    """Another live writer process holds the store's lock file."""
+    """Another process holds the store's writer lock."""
 
 
 class DuplicateId(Exception):
@@ -83,14 +90,18 @@ _LOCK_POLL_S = 0.05
 class _ProcessLockRegistry:
     """Per-process bookkeeping that makes the writer lock reentrant.
 
-    Maps canonical store path -> [refcount, view]. The view is shared by
+    Maps canonical store path -> [refcount, view, fd]. The view is shared by
     every writer handle of this process, so they all check ids against and
-    append to the same collections.
+    append to the same collections; ``fd`` is the open ``.lock`` file that
+    holds the flock. A forked child starts with an empty registry and
+    closes its copies of the descriptors, never unlocking them, so the
+    parent keeps its lock and the child is one more process.
     """
 
     def __init__(self):
         self._guard = threading.Lock()
         self._held: dict[str, list] = {}
+        os.register_at_fork(after_in_child=self._forget)
 
     def acquire(self, store_dir: str, lock_path: str, wait_s: float) -> _View:
         deadline = time.monotonic() + wait_s
@@ -100,15 +111,24 @@ class _ProcessLockRegistry:
                 if state is not None:
                     state[0] += 1
                     return state[1]
-                if self._try_create(lock_path):
+                fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    os.close(fd)
+                else:
+                    # Never unlinked: a new file would be a second lock.
+                    os.ftruncate(fd, 0)
+                    os.write(fd, str(os.getpid()).encode())
                     view = _View()
-                    self._held[store_dir] = [1, view]
+                    self._held[store_dir] = [1, view, fd]
                     return view
             if time.monotonic() >= deadline:
-                raise LockHeld(f"writer lock busy: {lock_path}")
+                with open(lock_path) as fh:
+                    raise LockHeld(f"writer lock busy: {lock_path} is held by pid {fh.read()}")
             time.sleep(_LOCK_POLL_S)
 
-    def release(self, store_dir: str, lock_path: str):
+    def release(self, store_dir: str):
         with self._guard:
             state = self._held.get(store_dir)
             if state is None:
@@ -116,44 +136,13 @@ class _ProcessLockRegistry:
             state[0] -= 1
             if state[0] <= 0:
                 del self._held[store_dir]
-                try:
-                    os.unlink(lock_path)
-                except FileNotFoundError:
-                    pass
+                os.close(state[2])
 
-    def _try_create(self, lock_path: str) -> bool:
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if self._is_stale(lock_path):
-                try:
-                    os.unlink(lock_path)
-                except FileNotFoundError:
-                    pass
-                return self._try_create(lock_path)
-            return False
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return True
-
-    @staticmethod
-    def _is_stale(lock_path: str) -> bool:
-        try:
-            with open(lock_path) as fh:
-                pid = int(fh.read().strip())
-        except (OSError, ValueError):
-            return True
-        if pid == os.getpid():
-            # Not in the registry yet claims our pid: leftover from a
-            # previous process with a recycled pid, or a crashed run.
-            return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            return False
-        return False
+    def _forget(self):
+        self._guard = threading.Lock()
+        for _, _, fd in self._held.values():
+            os.close(fd)
+        self._held = {}
 
 
 _REGISTRY = _ProcessLockRegistry()
@@ -337,7 +326,7 @@ class DocumentStore:
                 return
             self._closed = True
         if not self.read_only:
-            _REGISTRY.release(self.path, os.path.join(self.path, ".lock"))
+            _REGISTRY.release(self.path)
 
     def __enter__(self):
         return self
@@ -510,8 +499,10 @@ class DocumentStore:
 def open_store(path: str, read_only: bool = False, wait_for_lock_s: float = 0.0) -> DocumentStore:
     """Open (creating if needed) a store directory.
 
-    Writers acquire the advisory lock file, failing with LockHeld if another
-    live process holds it and it stays busy past ``wait_for_lock_s``.
-    Readers never touch the lock.
+    Writers take the flock on ``<path>/.lock``, polling up to
+    ``wait_for_lock_s`` and then raising LockHeld, which names the pid in
+    the file: only a holder writes it, so it is the live holder's. The
+    kernel releases the lock when the last writer handle closes or the
+    process dies; the file stays. Readers never touch the lock.
     """
     return DocumentStore(path, read_only=read_only, wait_for_lock_s=wait_for_lock_s)

@@ -201,7 +201,7 @@ def _cut_dsr_examples(store, blocks: dict, config: dict) -> dict:
     """
     w = config["wrangle"]
     events = []
-    rejects = 0
+    rejects: dict[str, int] = {}
     shift_failures = 0
     per_event_examples: dict[str, list] = {}
     for series in blocks.values():
@@ -213,7 +213,8 @@ def _cut_dsr_examples(store, blocks: dict, config: dict) -> dict:
             gap_factor=w["gap_factor"],
             target_band_s=tuple(w["target_band_s"]),
         )
-        rejects += len(fridge_rejects)
+        for reject in fridge_rejects:
+            rejects[reject.reason] = rejects.get(reject.reason, 0) + 1
         for example in examples:
             variants = []
             for lead in w["leads"]:

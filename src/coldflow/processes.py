@@ -26,9 +26,11 @@ def in_order_on_processes(fn, items: list, width: int):
     worker that dies or cannot pickle sends nothing, and the iterator
     raises ChildProcessError naming the item. A process that runs another
     thread forks nothing, since a lock that thread held would stay held in
-    the child: every item then runs here. Workers leave through
-    ``os._exit``, so a store handle open here keeps its lock file. Leaving
-    the block closes the pipes, which stops each worker, and waits for them.
+    the child: every item then runs here. A forked child closes its copies
+    of the store lock's descriptors (``coldflow.docstore.store``), so a
+    store handle open here keeps its lock, and a worker still running after
+    this process dies holds none. Leaving the block closes the pipes, which
+    stops each worker, and waits for them.
     """
     if width < 2 or len(items) < 2 or threading.active_count() > 1:
         yield map(fn, items)

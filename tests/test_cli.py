@@ -98,10 +98,12 @@ def test_run_then_stepwise_commands(tmp_path, capsys):
 
 
 def test_wrangle_prints_fault_rejects_by_reason(tmp_path, capsys):
-    # Of four work orders, two give fault windows; one lands an hour into
-    # the data, too early for a window a horizon before it, and one names
-    # a fridge with no telemetry.
+    # Two defrost runs are shorter than the band's 1200 s. Of four work
+    # orders, two give fault windows; one lands an hour into the data, too
+    # early for a window a horizon before it, and one names a fridge with
+    # no telemetry.
     config = write_config(tmp_path, extra={
+        "wrangle": {"window_len": 16, "leads": [0.0], "target_band_s": [1200.0, 8100.0]},
         "faults": {"horizon_s": 21600.0, "window_len": 16, "test_fraction": 0.25,
                    "val_fraction": 0.25},
     })
@@ -115,6 +117,7 @@ def test_wrangle_prints_fault_rejects_by_reason(tmp_path, capsys):
                                    ("store S009 fridge F0999 icepack fault", START_TS + day)])
     assert main(["wrangle", "--config", config, "--store", store]) == 0
     out = capsys.readouterr().out
+    assert "'events': 46, 'examples': 46, 'rejected_runs': {'implausible_duration': 2}," in out
     assert "'positives': 2, 'negatives': 2, 'skipped_workorders': 0, 'unmatched_fridges': 1, " \
         "'positive_rejects': {'insufficient_history': 1}," in out
 

@@ -1,10 +1,13 @@
 """Store mechanics: persistence, locking, batch atomicity, shared views, blobs."""
 
 import base64
+import contextlib
+import fcntl
 import json
 import math
 import os
 import random
+import signal
 import sys
 import threading
 
@@ -25,6 +28,63 @@ from coldflow.docstore import (
     parse_document_line,
 )
 from coldflow.docstore.blobs import ChecksumMismatch, checksum64, model_content_id
+from coldflow.processes import in_order_on_processes
+
+
+def lock_is_free(store_dir) -> bool:
+    """Whether a writer could take the store's lock now. A flock belongs to
+    the open file, so a fresh open of ``.lock`` asks as another process
+    would, in the process that holds the lock too."""
+    try:
+        fd = os.open(os.path.join(store_dir, ".lock"), os.O_RDONLY)
+    except FileNotFoundError:
+        return True
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+    return True
+
+
+@contextlib.contextmanager
+def held_by_child(take):
+    """Runs ``take()`` in a forked child that then waits, alive, until the
+    block ends; yields the child's pid."""
+    ready_r, ready_w = os.pipe()
+    done_r, done_w = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(ready_r)
+            os.close(done_w)
+            held = take()  # kept alive, and so held, until the child leaves
+            os.write(ready_w, b"x")
+            os.read(done_r, 1)
+        finally:
+            os._exit(0)
+    os.close(ready_w)
+    os.close(done_r)
+    try:
+        assert os.read(ready_r, 1) == b"x"
+        yield pid
+    finally:
+        os.close(done_w)
+        os.close(ready_r)
+        os.waitpid(pid, 0)
+
+
+def exit_code_of_child(fn) -> int:
+    """Runs ``fn()`` in a forked child, which leaves through ``os._exit``
+    with the code ``fn`` returns, or 1 if it raises; returns that code."""
+    if (pid := os.fork()) == 0:
+        code = 1
+        try:
+            signal.alarm(60)  # a child that hangs dies, and the test fails
+            code = fn()
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def test_roundtrip_reopen_identity(tmp_path):
@@ -100,23 +160,98 @@ def test_read_only_handle_rejects_writes(tmp_path):
 
 def test_lock_held_by_live_foreign_process(tmp_path):
     store_dir = tmp_path / "s"
-    store_dir.mkdir()
-    # pid 1 is alive and is not us: the lock must be respected.
-    (store_dir / ".lock").write_text("1")
-    with pytest.raises(LockHeld):
-        open_store(store_dir)
-    # Readers are never blocked by the lock.
-    reader = open_store(store_dir, read_only=True)
-    reader.close()
+    with held_by_child(lambda: open_store(store_dir)) as pid:
+        with pytest.raises(LockHeld, match=f"held by pid {pid}$"):
+            open_store(store_dir, wait_for_lock_s=0.2)
+        assert not lock_is_free(store_dir)
+        # Readers are never blocked by the lock.
+        with open_store(store_dir, read_only=True) as reader:
+            assert reader.count("t") == 0
+    open_store(store_dir).close()
 
 
 def test_stale_lock_is_stolen(tmp_path):
+    # A writer that dies with its handle open blocks no one.
+    store_dir = tmp_path / "s"
+
+    def die_writing():
+        open_store(store_dir).insert_many("t", [{"_id": "a"}])
+        os._exit(0)
+
+    assert exit_code_of_child(die_writing) == 0
+    with open_store(store_dir) as store:
+        store.insert_many("t", [{"_id": "b"}])
+        assert not lock_is_free(store_dir)
+    assert lock_is_free(store_dir)
+    assert (store_dir / ".lock").read_text() == str(os.getpid())  # its last holder
+
+
+def test_a_lock_file_naming_a_live_pid_without_a_lock_opens_at_once(tmp_path):
+    # A crashed writer's pid, reused by a live process that is no writer.
     store_dir = tmp_path / "s"
     store_dir.mkdir()
-    (store_dir / ".lock").write_text("999999999")
+    (store_dir / ".lock").write_text(str(os.getppid()))
     with open_store(store_dir) as store:
         store.insert_many("t", [{"_id": "a"}])
-    assert not (store_dir / ".lock").exists()
+
+
+def test_a_child_holding_the_flock_blocks_until_it_exits(tmp_path):
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+
+    def take():
+        fh = open(store_dir / ".lock", "a")
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fh
+
+    with held_by_child(take):
+        with pytest.raises(LockHeld):
+            open_store(store_dir)
+    open_store(store_dir).close()
+
+
+def test_a_forked_childs_open_store_raises_lock_held(tmp_path):
+    def write_from_child():
+        try:
+            open_store(tmp_path / "s").insert_many("t", [{"_id": "child"}])
+        except LockHeld:
+            return 0
+        return 2
+
+    with open_store(tmp_path / "s") as store:
+        store.insert_many("t", [{"_id": "parent"}])
+        assert exit_code_of_child(write_from_child) == 0
+        assert [doc["_id"] for doc in store.find_all("t")] == ["parent"]
+    assert lock_is_free(tmp_path / "s")
+
+
+def test_a_writer_that_dies_while_its_worker_runs_leaves_the_store_free(tmp_path):
+    # The worker still waits in fn, and it would hold a forked copy of the
+    # writer's lock descriptor had it not closed it.
+    store_dir = tmp_path / "s"
+    ready_r, ready_w = os.pipe()
+    done_r, done_w = os.pipe()
+
+    def fn(item):
+        if item == 1:
+            os.write(ready_w, b"x")
+            os.read(done_r, 1)
+        elif os.read(ready_r, 1) == b"x":
+            os._exit(0)
+        return item
+
+    def die_mid_map():
+        with open_store(store_dir), in_order_on_processes(fn, [0, 1], 2) as results:
+            list(results)
+        return 2
+
+    try:
+        assert exit_code_of_child(die_mid_map) == 0
+        open_store(store_dir).close()
+    finally:
+        os.write(done_w, b"x")  # the orphaned worker's result finds no reader
+        for fd in (ready_r, ready_w, done_r, done_w):
+            os.close(fd)
 
 
 def test_lock_reentrant_within_process(tmp_path):
@@ -126,9 +261,9 @@ def test_lock_reentrant_within_process(tmp_path):
     second.insert_many("u", [{"_id": "b"}])
     first.close()
     # Lock survives until the last same-process handle closes.
-    assert (tmp_path / "s" / ".lock").exists()
+    assert not lock_is_free(tmp_path / "s")
     second.close()
-    assert not (tmp_path / "s" / ".lock").exists()
+    assert lock_is_free(tmp_path / "s")
 
 
 def test_lock_released_on_close(tmp_path):
@@ -380,7 +515,7 @@ def test_closed_handle_refuses_reads_and_writes(tmp_path, read_only):
     with pytest.raises(ReadOnlyStore if read_only else ValueError):
         store.insert_many("c", [{"_id": "b"}])
     assert (tmp_path / "s" / "c.ndjson").read_bytes() == before
-    assert not (tmp_path / "s" / ".lock").exists()
+    assert lock_is_free(tmp_path / "s")
 
 
 @pytest.mark.parametrize(
@@ -608,14 +743,13 @@ def test_map_ranges_reads_each_document_once_in_file_order(tmp_path):
 
 def test_map_ranges_workers_leave_the_lock_and_no_process(tmp_path):
     _, docs = ranged_store(tmp_path)
-    lock = tmp_path / "s" / ".lock"
     with open_store(tmp_path / "s") as store:
         parts = store.map_ranges("t", list, 3)
-        assert lock.read_text() == str(os.getpid())
+        assert not lock_is_free(tmp_path / "s")
         assert_no_child_process()
         store.insert_many("t", [{"_id": "late"}])
     assert [doc for part in parts for doc in part] == docs
-    assert not lock.exists()
+    assert lock_is_free(tmp_path / "s")
 
 
 def test_map_ranges_truncates_or_skips_a_torn_tail(tmp_path, caplog):
